@@ -84,7 +84,7 @@ func ParseBudgetFile(path string) ([]BudgetEntry, error) {
 
 // An escapeSite is one escape-analysis diagnostic position.
 type escapeSite struct {
-	file string // as printed by the compiler (relative to the build dir)
+	file string // as printed by the compiler, then resolved by sitePath
 	line int
 }
 
@@ -185,13 +185,6 @@ func RunAllocBudget(budgetPath string) ([]Diagnostic, error) {
 		return nil, nil
 	}
 	dir := filepath.Dir(budgetPath)
-	// The compiler prints diagnostic paths relative to the module root, not
-	// to the invocation directory, so resolve the root once for joining.
-	rootOut, err := goCommand(dir, "list", "-m", "-f", "{{.Dir}}")
-	if err != nil {
-		return nil, fmt.Errorf("resolving module root: %w", err)
-	}
-	root := strings.TrimSpace(rootOut)
 
 	pkgSet := map[string]bool{}
 	for _, e := range entries {
@@ -216,7 +209,8 @@ func RunAllocBudget(budgetPath string) ([]Diagnostic, error) {
 	}
 
 	// One build per package: the compiler replays its diagnostics from the
-	// build cache, so repeated runs stay cheap.
+	// build cache, so repeated runs stay cheap. Site paths are resolved to
+	// absolute ones as they are collected.
 	var sites []escapeSite
 	for _, p := range pkgs {
 		flags := fmt.Sprintf("-gcflags=%s=-m", p)
@@ -224,31 +218,28 @@ func RunAllocBudget(budgetPath string) ([]Diagnostic, error) {
 		if err != nil {
 			return nil, fmt.Errorf("escape analysis of %s: %w", p, err)
 		}
-		sites = append(sites, parseEscapeOutput(out)...)
+		for _, s := range parseEscapeOutput(out) {
+			if f, ok := sitePath(s.file, pkgDir[p]); ok {
+				s.file = f
+				sites = append(sites, s)
+			}
+		}
 	}
 
 	// Attribute sites to top-level declarations, per package directory.
 	ranges := map[string][]*funcRange{} // abs file path -> ranges
-	fileOf := func(site escapeSite) string {
-		f := site.file
-		if !filepath.IsAbs(f) {
-			f = filepath.Join(root, f)
-		}
-		return f
-	}
 	for _, s := range sites {
-		f := fileOf(s)
-		if _, ok := ranges[f]; ok {
+		if _, ok := ranges[s.file]; ok {
 			continue
 		}
-		r, err := parseFuncRanges(f)
+		r, err := parseFuncRanges(s.file)
 		if err != nil {
 			return nil, fmt.Errorf("mapping escape sites: %w", err)
 		}
-		ranges[f] = r
+		ranges[s.file] = r
 	}
 	for _, s := range sites {
-		for _, r := range ranges[fileOf(s)] {
+		for _, r := range ranges[s.file] {
 			if s.line >= r.from && s.line <= r.to {
 				r.escapes++
 			}
@@ -300,6 +291,37 @@ func RunAllocBudget(budgetPath string) ([]Diagnostic, error) {
 		return a.Pos.Line < b.Pos.Line
 	})
 	return diags, nil
+}
+
+// sitePath maps a compiler-printed escape-site path to the file it names
+// in pkgDir, the directory of the package whose build printed it. The
+// printed form has no stable base: the go command shortens paths relative
+// to the working directory of the build that filled the build cache and
+// replays that text on every later hit, so one site reads
+// ../index/codec.go, index/codec.go or internal/index/codec.go depending on
+// where the package was first compiled. All of a package's files live in
+// its directory, so a site is its base name inside pkgDir, provided its
+// printed directories are a trailing part of pkgDir. ok is false for a
+// site outside the package.
+func sitePath(file, pkgDir string) (path string, ok bool) {
+	if filepath.IsAbs(file) {
+		return file, filepath.Dir(file) == pkgDir
+	}
+	parts := strings.Split(filepath.ToSlash(filepath.Clean(file)), "/")
+	for len(parts) > 1 && parts[0] == ".." {
+		parts = parts[1:]
+	}
+	dirs, base := parts[:len(parts)-1], parts[len(parts)-1]
+	pkgParts := strings.Split(filepath.ToSlash(pkgDir), "/")
+	if len(dirs) > len(pkgParts) {
+		return "", false
+	}
+	for i, d := range dirs {
+		if pkgParts[len(pkgParts)-len(dirs)+i] != d {
+			return "", false
+		}
+	}
+	return filepath.Join(pkgDir, base), true
 }
 
 // findFunc looks for a named function among the already-parsed files of

@@ -120,3 +120,85 @@ func TestAllocBudgetGate(t *testing.T) {
 		t.Errorf("committed budget not clean: %s", d)
 	}
 }
+
+// TestSitePath covers every form in which the go command has been seen to
+// print one escape site: relative to the package directory, to a sibling or
+// ancestor working directory, or to the module root, depending on where the
+// cached compile first ran. All of them must land on the same file, and
+// sites of other packages must be dropped.
+func TestSitePath(t *testing.T) {
+	pkgDir := filepath.Join(string(filepath.Separator)+"mod", "internal", "index")
+	want := filepath.Join(pkgDir, "codec.go")
+	for _, printed := range []string{
+		"../index/codec.go",
+		"index/codec.go",
+		"internal/index/codec.go",
+		"../../internal/index/codec.go",
+		"./codec.go",
+		"codec.go",
+		"../codec.go",
+		want,
+	} {
+		got, ok := sitePath(filepath.FromSlash(printed), pkgDir)
+		if !ok || got != want {
+			t.Errorf("sitePath(%q) = %q, %v; want %q, true", printed, got, ok, want)
+		}
+	}
+	for _, printed := range []string{
+		"../engine/engine.go",
+		"internal/engine/engine.go",
+		"other/internal/index/codec.go",
+		filepath.Join(string(filepath.Separator)+"goroot", "src", "slices", "sort.go"),
+	} {
+		if got, ok := sitePath(filepath.FromSlash(printed), pkgDir); ok {
+			t.Errorf("sitePath(%q) = %q, true; want a site outside the package", printed, got)
+		}
+	}
+}
+
+// TestAllocBudgetGateFromSubdirectory runs the gate with the same budgets
+// from two directories that are not the module root, over packages in
+// other directories, and requires identical findings: escape counts must
+// not depend on where the go command runs.
+func TestAllocBudgetGateFromSubdirectory(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs go build -gcflags=-m over hot-path packages")
+	}
+	content := "hybridstore/internal/engine (*Engine).Execute 0\n" +
+		"hybridstore/internal/index (*BlockCursor).Next 0\n" +
+		"hybridstore/internal/core (*Manager).ReadListRange 0\n" +
+		"hybridstore/internal/storage (*SparseBuffer).WriteAt 0\n"
+	nested, err := os.MkdirTemp("testdata", "budgetdir_*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer os.RemoveAll(nested)
+	var runs [2][]string
+	for i, dir := range []string{".", nested} {
+		f, err := os.CreateTemp(dir, "allocbudget_zero_*.txt")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer os.Remove(f.Name())
+		if _, err := f.WriteString(content); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		diags, err := RunAllocBudget(f.Name())
+		if err != nil {
+			t.Fatalf("gate run from %s: %v", dir, err)
+		}
+		for _, d := range diags {
+			runs[i] = append(runs[i], d.String())
+		}
+	}
+	if len(runs[0]) != 4 {
+		t.Errorf("zero budgets on four escaping functions gave %d findings: %v", len(runs[0]), runs[0])
+	}
+	if strings.Join(runs[0], "\n") != strings.Join(runs[1], "\n") {
+		t.Errorf("findings depend on the invocation directory:\n%s\nvs\n%s",
+			strings.Join(runs[0], "\n"), strings.Join(runs[1], "\n"))
+	}
+}

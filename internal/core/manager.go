@@ -139,6 +139,7 @@ type Manager struct {
 	icLRU    *cache.List // termID -> *ssdList (dynamic entries only)
 	icAlloc  *storage.Allocator
 	icStatic map[workload.TermID]*ssdList
+	flushBuf []byte // list-flush staging, grown to the largest extent written
 
 	// Frequency and utilization tracking for Formulas 1–2.
 	termFreq   map[workload.TermID]int64

@@ -84,9 +84,13 @@ func (m *Manager) flushListToSSD(ml *memList) {
 	}
 
 	// One large sequential block-aligned write (the data placement win of
-	// §VI-B): the prefix padded to whole blocks.
-	buf := make([]byte, scBytes)
-	copy(buf, ml.prefix[:validBytes])
+	// §VI-B): the prefix padded to whole blocks, staged in the manager's
+	// reusable flush buffer (devices copy what they store).
+	if int64(cap(m.flushBuf)) < scBytes {
+		m.flushBuf = make([]byte, scBytes)
+	}
+	buf := m.flushBuf[:scBytes]
+	clear(buf[copy(buf, ml.prefix[:validBytes]):])
 	if err := m.ssdWrite(buf, m.icBase()+off); err != nil {
 		// Error accounted by ssdWrite; the list is lost from the cache
 		// (still on the HDD) and the failed extent is retired.

@@ -20,6 +20,7 @@
 package engine
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"time"
@@ -139,7 +140,9 @@ type ExecStats struct {
 // An Engine reuses internal scratch state (scan buffer, score accumulator,
 // top-K heap, block cursor) across Execute calls to keep the steady-state
 // query path allocation-free; it is therefore not safe for concurrent use.
-// Give each goroutine its own Engine.
+// Give each goroutine its own Engine. The score accumulator is dense: it
+// costs 8 bytes per collection document per Engine, allocated on the first
+// Execute.
 type Engine struct {
 	src ListSource
 	cfg Config
@@ -150,7 +153,7 @@ type Engine struct {
 	// Per-Execute scratch, lazily allocated and reused.
 	scanBuf []byte // chunk read buffer, grown to the largest chunk seen
 	cur     index.BlockCursor
-	scores  map[uint32]float64 // per-doc score accumulator
+	acc     accumulator
 	top     *topK
 	terms   []workload.TermID
 }
@@ -180,12 +183,11 @@ func idf(numDocs, df int64) float64 {
 // encoded bytes keeps the processing order codec-invariant.
 func (e *Engine) Execute(q workload.Query) (*Result, ExecStats, error) {
 	var stats ExecStats
-	if e.scores == nil {
-		e.scores = make(map[uint32]float64, 1<<12)
-	} else {
-		clear(e.scores)
+	numDocs := e.src.NumDocs()
+	if e.acc.scores == nil {
+		e.acc.scores = make([]float64, numDocs)
 	}
-	scores := e.scores
+	defer e.acc.reset()
 
 	e.terms = append(e.terms[:0], q.Terms...)
 	terms := e.terms
@@ -197,7 +199,6 @@ func (e *Engine) Execute(q workload.Query) (*Result, ExecStats, error) {
 		return terms[i] < terms[j]
 	})
 
-	numDocs := e.src.NumDocs()
 	if e.top == nil {
 		e.top = newTopK(e.cfg.TopK)
 	} else {
@@ -206,7 +207,7 @@ func (e *Engine) Execute(q workload.Query) (*Result, ExecStats, error) {
 	top := e.top
 	stats.Terms = make([]TermStats, 0, len(terms))
 	for _, t := range terms {
-		ts, err := e.scanList(t, idf(numDocs, e.src.TermDF(t)), scores, top, &stats)
+		ts, err := e.scanList(t, idf(numDocs, e.src.TermDF(t)), top, &stats)
 		if err != nil {
 			return nil, stats, err
 		}
@@ -217,10 +218,29 @@ func (e *Engine) Execute(q workload.Query) (*Result, ExecStats, error) {
 	return &Result{QueryID: q.ID, Docs: top.ranked()}, stats, nil
 }
 
+// accumulator is the per-query score table: a dense []float64 indexed by
+// doc ID, plus the list of docs whose score became non-zero, so the reset
+// between queries costs O(docs touched) rather than O(collection).
+type accumulator struct {
+	scores  []float64
+	touched []uint32
+}
+
+// reset zeroes every touched score, restoring the all-zero table.
+func (a *accumulator) reset() {
+	for _, d := range a.touched {
+		a.scores[d] = 0
+	}
+	a.touched = a.touched[:0]
+}
+
 // scanList consumes term t's impact-ordered list chunk by chunk (whole
 // encoded blocks), decoding doc-at-a-time through the block cursor and
 // accumulating scores, until the list ends or early termination fires.
-func (e *Engine) scanList(t workload.TermID, w float64, scores map[uint32]float64, top *topK, stats *ExecStats) (TermStats, error) {
+// Scores are offered to the top-K only when topK.admits them.
+func (e *Engine) scanList(t workload.TermID, w float64, top *topK, stats *ExecStats) (TermStats, error) {
+	acc := &e.acc
+	scores := acc.scores
 	total := e.src.ListBytes(t)
 	blocks := e.src.ListBlocks(t)
 	ts := TermStats{Term: t, ListBytes: total}
@@ -258,9 +278,18 @@ func (e *Engine) scanList(t workload.TermID, w float64, scores map[uint32]float6
 				if !ok {
 					break
 				}
-				s := scores[p.Doc] + float64(p.TF)*w
+				if int(p.Doc) >= len(scores) {
+					return ts, errDocRange(t, p.Doc, len(scores))
+				}
+				old := scores[p.Doc]
+				s := old + float64(p.TF)*w
+				if old == 0 && s != 0 {
+					acc.touched = append(acc.touched, p.Doc)
+				}
 				scores[p.Doc] = s
-				top.offer(p.Doc, s)
+				if top.admits(s) {
+					top.offer(p.Doc, s)
+				}
 				lastTF = p.TF
 				scored++
 			}
@@ -288,6 +317,16 @@ func (e *Engine) scanList(t workload.TermID, w float64, scores map[uint32]float6
 		ts.Utilization = float64(ts.BytesRead) / float64(total)
 	}
 	return ts, nil
+}
+
+// errDocRange reports a posting whose doc ID lies outside the collection:
+// a corrupt block, or a source whose NumDocs understates its lists. It is
+// kept out of line so the scoring loop carries no error formatting; its
+// own escapes are budgeted separately in allocbudget.txt.
+//
+//go:noinline
+func errDocRange(t workload.TermID, doc uint32, numDocs int) error {
+	return fmt.Errorf("engine: term %d: doc %d outside the collection of %d docs", t, doc, numDocs)
 }
 
 // topK maintains the K best (doc, score) pairs seen so far. Scores for a
@@ -320,6 +359,14 @@ func (t *topK) reset() {
 }
 
 func (t *topK) full() bool { return len(t.heap) >= t.k }
+
+// admits reports whether offering score could change the structure: only
+// while it has room, or when score beats the current minimum. Gating
+// offers on it is exact for accumulated scores: every increment TF·w is
+// ≥ 0, so a doc already in the heap scores at least the minimum, and a
+// refused offer is one offer would have ignored or rewritten with an
+// equal score.
+func (t *topK) admits(score float64) bool { return !t.full() || score > t.min() }
 
 // min returns the lowest score in the current top-K (0 if not full).
 func (t *topK) min() float64 {

@@ -1,6 +1,10 @@
 package engine
 
 import (
+	"errors"
+	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -305,6 +309,112 @@ func TestResultCodecProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestEngineReuseMatchesFreshEngines runs one engine over a query sequence
+// and requires each result and its stats to equal a fresh engine's: no
+// score may leak from one query into the next through the reused
+// accumulator.
+func TestEngineReuseMatchesFreshEngines(t *testing.T) {
+	ix, spec := testIndex(t)
+	reused := New(ix, DefaultConfig())
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 60; i++ {
+		q := workload.Query{ID: uint64(i)}
+		for _, term := range rng.Perm(spec.VocabSize)[:1+rng.Intn(4)] {
+			q.Terms = append(q.Terms, workload.TermID(term))
+		}
+		got, gotStats, err := reused.Execute(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, wantStats, err := New(ix, DefaultConfig()).Execute(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(gotStats, wantStats) {
+			t.Fatalf("query %d %v: reused engine diverges from a fresh one:\n got %+v\nwant %+v", i, q.Terms, got.Docs, want.Docs)
+		}
+	}
+}
+
+var errInjectedRead = errors.New("injected read failure")
+
+// failingSource fails the failAt-th ReadListRange call (1-based; 0 never)
+// and counts calls.
+type failingSource struct {
+	*index.Index
+	failAt, calls int
+}
+
+func (s *failingSource) ReadListRange(t workload.TermID, off int64, p []byte) error {
+	s.calls++
+	if s.calls == s.failAt {
+		return errInjectedRead
+	}
+	return s.Index.ReadListRange(t, off, p)
+}
+
+// TestExecuteAfterReadErrorMatchesFresh fails a list read in the middle of
+// a query, after postings have been scored, and requires the accumulator
+// to be clean again and the engine's next queries to match a fresh engine.
+func TestExecuteAfterReadErrorMatchesFresh(t *testing.T) {
+	ix, _ := testIndex(t)
+	cfg := DefaultConfig()
+	cfg.TerminationFrac = 1e-12 // read every chunk, so the failure lands mid-query
+	q := workload.Query{ID: 1, Terms: []workload.TermID{0, 5}}
+
+	counter := &failingSource{Index: ix}
+	if _, _, err := New(counter, cfg).Execute(q); err != nil {
+		t.Fatal(err)
+	}
+	if counter.calls < 3 {
+		t.Fatalf("query reads %d chunks; need at least 3 for a mid-query failure", counter.calls)
+	}
+
+	e := New(&failingSource{Index: ix, failAt: counter.calls - 1}, cfg)
+	if _, _, err := e.Execute(q); !errors.Is(err, errInjectedRead) {
+		t.Fatalf("Execute error = %v, want the injected read failure", err)
+	}
+	if len(e.acc.touched) != 0 {
+		t.Fatalf("%d touched docs left after a failed query", len(e.acc.touched))
+	}
+	for doc, s := range e.acc.scores {
+		if s != 0 {
+			t.Fatalf("doc %d keeps score %v after a failed query", doc, s)
+		}
+	}
+	for _, next := range []workload.Query{q, {ID: 2, Terms: []workload.TermID{5, 9}}} {
+		got, _, err := e.Execute(next)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _, err := New(ix, cfg).Execute(next)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("query %v after a failed query:\n got %+v\nwant %+v", next.Terms, got.Docs, want.Docs)
+		}
+	}
+}
+
+// shrunkSource understates the collection size, so its lists decode doc
+// IDs at or beyond NumDocs, as a corrupt block would.
+type shrunkSource struct {
+	*index.Index
+	numDocs int64
+}
+
+func (s shrunkSource) NumDocs() int64 { return s.numDocs }
+
+func TestExecuteRejectsDocOutsideCollection(t *testing.T) {
+	ix, spec := testIndex(t)
+	e := New(shrunkSource{Index: ix, numDocs: int64(spec.NumDocs / 2)}, DefaultConfig())
+	_, _, err := e.Execute(workload.Query{ID: 1, Terms: []workload.TermID{0}})
+	if err == nil || !strings.Contains(err.Error(), "outside the collection") {
+		t.Fatalf("Execute error = %v, want a doc-range error", err)
 	}
 }
 

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -137,6 +138,41 @@ func TestExecuteIdenticalAcrossCodecs(t *testing.T) {
 		}
 		if s1.BytesRead <= s2.BytesRead {
 			t.Fatalf("query %d: gvarint read %d bytes, raw %d — no byte savings", i, s2.BytesRead, s1.BytesRead)
+		}
+	}
+}
+
+// TestGatedTopKMatchesUngated is the property behind scanList's offer gate:
+// over random streams of non-negative score increments (zeros included, so
+// ties with the heap minimum occur), a topK offered only the scores it
+// admits must hold exactly the same heap, entry for entry, as one offered
+// every accumulated score.
+func TestGatedTopKMatchesUngated(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	weights := []float64{0, 0.5, 1, 1.75, 3}
+	for trial := 0; trial < 200; trial++ {
+		k := 1 + rng.Intn(8)
+		if trial%10 == 0 {
+			k = 50
+		}
+		docs := k + rng.Intn(4*k)
+		gated, ungated := newTopK(k), newTopK(k)
+		scores := make([]float64, docs)
+		for step := 0; step < 20*docs; step++ {
+			doc := uint32(rng.Intn(docs))
+			s := scores[doc] + float64(rng.Intn(6))*weights[rng.Intn(len(weights))]
+			scores[doc] = s
+			ungated.offer(doc, s)
+			if gated.admits(s) {
+				gated.offer(doc, s)
+			}
+			if !reflect.DeepEqual(gated.heap, ungated.heap) {
+				t.Fatalf("trial %d (k=%d) step %d: heaps diverge:\n gated   %v\n ungated %v",
+					trial, k, step, gated.heap, ungated.heap)
+			}
+		}
+		if !reflect.DeepEqual(gated.ranked(), ungated.ranked()) {
+			t.Fatalf("trial %d: ranked output diverges", trial)
 		}
 	}
 }

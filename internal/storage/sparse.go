@@ -10,10 +10,13 @@ package storage
 
 const sparseChunkSize = 128 << 10 // 128 KiB, matches the SSD block size
 
-// SparseBuffer holds size logical bytes in sparse chunks.
+// SparseBuffer holds size logical bytes in sparse chunks. Chunks released
+// by Zero are kept on a free list and reused by later writes, so a device
+// that erases and rewrites blocks in steady state stops allocating.
 type SparseBuffer struct {
 	size   int64
 	chunks map[int64][]byte // chunk index -> chunk contents
+	free   [][]byte         // released chunks, contents stale until reused
 }
 
 // NewSparseBuffer returns an all-zero buffer of the given size in bytes.
@@ -27,7 +30,8 @@ func NewSparseBuffer(size int64) *SparseBuffer {
 // Size returns the logical size in bytes.
 func (b *SparseBuffer) Size() int64 { return b.size }
 
-// AllocatedBytes reports host memory consumed by written chunks.
+// AllocatedBytes reports host memory consumed by written chunks. Chunks
+// parked on the free list are not counted: they hold no logical data.
 func (b *SparseBuffer) AllocatedBytes() int64 {
 	return int64(len(b.chunks)) * sparseChunkSize
 }
@@ -70,7 +74,7 @@ func (b *SparseBuffer) WriteAt(p []byte, off int64) {
 		}
 		chunk, ok := b.chunks[ci]
 		if !ok {
-			chunk = make([]byte, sparseChunkSize)
+			chunk = b.newChunk()
 			b.chunks[ci] = chunk
 		}
 		copy(chunk[co:co+n], p[:n])
@@ -79,8 +83,19 @@ func (b *SparseBuffer) WriteAt(p []byte, off int64) {
 	}
 }
 
-// Zero clears n bytes at off, releasing whole chunks back to the allocator
-// when the cleared range covers them fully.
+// newChunk returns an all-zero chunk, recycling a released one if any.
+func (b *SparseBuffer) newChunk() []byte {
+	if n := len(b.free); n > 0 {
+		chunk := b.free[n-1]
+		b.free = b.free[:n-1]
+		clear(chunk)
+		return chunk
+	}
+	return make([]byte, sparseChunkSize)
+}
+
+// Zero clears n bytes at off, releasing whole chunks to the free list when
+// the cleared range covers them fully.
 func (b *SparseBuffer) Zero(off, n int64) {
 	if err := CheckRange("sparse", b.size, off, int(n)); err != nil {
 		panic(err)
@@ -93,7 +108,10 @@ func (b *SparseBuffer) Zero(off, n int64) {
 			span = n
 		}
 		if co == 0 && span == sparseChunkSize {
-			delete(b.chunks, ci)
+			if chunk, ok := b.chunks[ci]; ok {
+				delete(b.chunks, ci)
+				b.free = append(b.free, chunk)
+			}
 		} else if chunk, ok := b.chunks[ci]; ok {
 			for i := co; i < co+span; i++ {
 				chunk[i] = 0

@@ -84,6 +84,35 @@ func TestSparseBufferZeroReleasesChunks(t *testing.T) {
 	}
 }
 
+func TestSparseBufferRecyclesChunks(t *testing.T) {
+	b := NewSparseBuffer(1 << 20)
+	full := bytes.Repeat([]byte{0xAB}, sparseChunkSize)
+	b.WriteAt(full, 0)
+	b.WriteAt(full, sparseChunkSize)
+	b.Zero(0, 2*sparseChunkSize) // both chunks go to the free list
+	if b.AllocatedBytes() != 0 || len(b.free) != 2 {
+		t.Fatalf("after Zero: allocated %d, %d free chunks; want 0, 2", b.AllocatedBytes(), len(b.free))
+	}
+	recycled := b.free[len(b.free)-1]
+
+	// A small write into another chunk reuses a released one; everything
+	// outside the written range must read back as zero, not stale 0xAB.
+	b.WriteAt([]byte{1, 2, 3}, 3*sparseChunkSize+100)
+	if b.AllocatedBytes() != sparseChunkSize || len(b.free) != 1 {
+		t.Fatalf("after write: allocated %d, %d free chunks; want %d, 1", b.AllocatedBytes(), len(b.free), sparseChunkSize)
+	}
+	if got := b.chunks[3]; &got[0] != &recycled[0] {
+		t.Fatal("write allocated a new chunk while one was free")
+	}
+	got := make([]byte, sparseChunkSize)
+	b.ReadAt(got, 3*sparseChunkSize)
+	want := make([]byte, sparseChunkSize)
+	copy(want[100:], []byte{1, 2, 3})
+	if !bytes.Equal(got, want) {
+		t.Fatal("recycled chunk leaked stale bytes outside the written range")
+	}
+}
+
 func TestSparseBufferPartialZero(t *testing.T) {
 	b := NewSparseBuffer(1 << 20)
 	b.WriteAt([]byte{1, 2, 3, 4}, 10)

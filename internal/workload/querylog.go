@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"slices"
 
 	"hybridstore/internal/simclock"
 )
@@ -71,7 +72,6 @@ type QueryLog struct {
 	spec      QueryLogSpec
 	queryZipf *Zipf
 	termZipf  *Zipf
-	cache     map[uint64]Query
 	produced  int64
 }
 
@@ -86,7 +86,6 @@ func NewQueryLog(spec QueryLogSpec) *QueryLog {
 		spec:      spec,
 		queryZipf: NewZipf(rng.Split(1), spec.DistinctQueries, spec.QueryExponent),
 		termZipf:  NewZipf(rng.Split(2), spec.VocabSize, spec.TermExponent),
-		cache:     make(map[uint64]Query),
 	}
 }
 
@@ -99,28 +98,23 @@ func (l *QueryLog) Next() Query {
 
 // QueryByID materializes the fixed term list of query qid. The terms are a
 // pure function of (spec, qid): the popularity rank of each term is drawn
-// from the term Zipf using a per-query RNG.
+// from the term Zipf using a per-query RNG. Nothing is memoized: each call
+// returns a fresh term slice, and the log's memory does not grow with the
+// number of distinct queries run.
 func (l *QueryLog) QueryByID(qid uint64) Query {
-	if q, ok := l.cache[qid]; ok {
-		return q
-	}
 	qrng := simclock.NewRNG(l.spec.Seed).Split(qid + 101)
 	nTerms := 1 + qrng.Intn(l.spec.MaxTermsPerQuery)
 	terms := make([]TermID, 0, nTerms)
-	seen := make(map[TermID]bool, nTerms)
 	for len(terms) < nTerms {
 		t := TermID(l.termZipf.Sample(qrng))
-		if !seen[t] {
-			seen[t] = true
+		if !slices.Contains(terms, t) {
 			terms = append(terms, t)
 		}
-		if len(seen) >= l.spec.VocabSize {
+		if len(terms) >= l.spec.VocabSize {
 			break
 		}
 	}
-	q := Query{ID: qid, Terms: terms}
-	l.cache[qid] = q
-	return q
+	return Query{ID: qid, Terms: terms}
 }
 
 // Produced returns how many queries Next has handed out.
