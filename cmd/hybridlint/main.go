@@ -7,8 +7,6 @@
 //
 //	detclock     simulated time/randomness must flow through internal/simclock
 //	mapiter      output paths must not range over maps in randomized order
-//	statsevent   paired core.Stats counters must emit their event in the
-//	             same function (stats≡trace)
 //	ioerr        storage-layer errors and allocator results must be handled
 //	attrib       clock advances must carry a declared attribution Component
 //	             (Σattrib≡elapsed)
@@ -18,6 +16,10 @@
 //	             bound at creation (shard confinement)
 //	allocbudget  hot-path functions stay within the committed escape-analysis
 //	             budget in allocbudget.txt (runs `go build -gcflags=-m`)
+//
+// stats≡trace needs no analyzer: core.Manager changes its Stats only by
+// folding the events it records (Manager.record, Stats.apply), so the
+// counters and the event stream cannot drift apart.
 //
 // Flags:
 //
@@ -60,7 +62,7 @@ func main() {
 	timing := flag.Bool("timing", false, "print per-analyzer wall time to stderr")
 	budgetMode := flag.String("allocbudget", "auto", `escape-analysis budget gate: "auto", "off", or a budget file path`)
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: hybridlint [-json] [-timing] [-allocbudget=auto|off|FILE] [packages]\n\nRuns the hybridstore contract analyzers (detclock, mapiter, statsevent, ioerr,\nattrib, bufalias, confine, allocbudget) over the given go-list package\npatterns (default ./...).\n")
+		fmt.Fprintf(os.Stderr, "usage: hybridlint [-json] [-timing] [-allocbudget=auto|off|FILE] [packages]\n\nRuns the hybridstore contract analyzers (detclock, mapiter, ioerr, attrib,\nbufalias, confine, allocbudget) over the given go-list package\npatterns (default ./...).\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()

@@ -5,9 +5,6 @@
 //     internal/simclock (analyzer detclock), and output paths never iterate
 //     maps in Go's randomized order (analyzer mapiter), so every run is
 //     byte-identical at any -jobs count;
-//   - stats≡trace: every paired core.Stats counter mutation is accompanied
-//     by the matching manager event in the same function, driven by the
-//     pairing table declared next to the counters (analyzer statsevent);
 //   - error accounting: no storage-device or allocator result is silently
 //     discarded, so injected faults can never vanish (analyzer ioerr);
 //   - Σattrib≡elapsed: every clock advance carries a Component constant
@@ -26,7 +23,7 @@
 // which is a feature, not a shortcut: a callee that wants to keep bytes
 // must copy them, and the copy is visible in the caller.
 //
-// An eighth check, allocbudget (allocbudget.go), is not AST-based at all:
+// A seventh check, allocbudget (allocbudget.go), is not AST-based at all:
 // it replays the compiler's escape analysis (`go build -gcflags=-m`)
 // against the committed per-function heap-allocation budget in
 // allocbudget.txt, turning the hot path's allocation discipline into a
@@ -284,12 +281,12 @@ func Run(pkg *Package, analyzers []*Analyzer) []Diagnostic {
 }
 
 // All returns the full AST-based hybridlint suite in reporting order. The
-// eighth check, allocbudget, is not package-scoped (it runs the compiler's
+// seventh check, allocbudget, is not package-scoped (it runs the compiler's
 // escape analysis over the whole module) and is invoked separately via
 // RunAllocBudget; its name is still known to the directive audit through
 // AllocBudgetName.
 func All() []*Analyzer {
-	return []*Analyzer{Detclock, Mapiter, Statsevent, Ioerr, Attrib, Bufalias, Confine}
+	return []*Analyzer{Detclock, Mapiter, Ioerr, Attrib, Bufalias, Confine}
 }
 
 // pathSegment reports whether the import path contains seg as a whole

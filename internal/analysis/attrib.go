@@ -6,11 +6,11 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
+	"strconv"
 )
 
-// Attrib makes Σattrib≡elapsed total the same way statsevent made
-// stats≡trace total: every slice of simulated time must carry a declared
-// attribution label.
+// Attrib makes Σattrib≡elapsed total: every slice of simulated time must
+// carry a declared attribution label.
 //
 //   - Every call to Clock.AdvanceAttr / Clock.AdvanceToAttr must pass a
 //     named simclock.Component constant (not a computed value, not the
@@ -296,4 +296,14 @@ func identKeyEntries(pass *Pass, name string) (map[string]string, map[string]tok
 		}
 	}
 	return nil, nil
+}
+
+// stringLit unquotes a string literal expression.
+func stringLit(e ast.Expr) (string, bool) {
+	bl, ok := e.(*ast.BasicLit)
+	if !ok || bl.Kind != token.STRING {
+		return "", false
+	}
+	s, err := strconv.Unquote(bl.Value)
+	return s, err == nil
 }

@@ -18,12 +18,6 @@ func TestMapiter(t *testing.T) {
 	analysistest.Run(t, td, "mapiter/other", analysis.Mapiter)
 }
 
-func TestStatsevent(t *testing.T) {
-	td := analysistest.TestData(t)
-	analysistest.Run(t, td, "statsevent/core", analysis.Statsevent)
-	analysistest.Run(t, td, "statsevent/missing", analysis.Statsevent)
-}
-
 func TestIoerr(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(t), "ioerr/a", analysis.Ioerr)
 }

@@ -8,6 +8,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -516,85 +517,75 @@ func TestBumpFreqDecayPreservesOrder(t *testing.T) {
 	}
 }
 
-// eventSums accumulates an event stream for stats≡trace verification.
-type eventSums struct {
-	ioErrors, ioErrorBytes int64
-	degraded               int64
-	listReadBytes          map[Level]int64
-	resultHits             map[Level]int64
-	resultMisses           int64
-	resultEvicts           map[Level]int64
-	listEvicts             map[Level]int64
-	resultFlushBytes       int64
-	listFlushBytes         int64
-	listFlushes            int64
+// statsFold is an event sink that folds the stream into a fresh Stats, so
+// stats≡trace is checked on every field rather than on chosen sums. seen
+// collects the kinds that fired, shared across a test matrix.
+type statsFold struct {
+	st   Stats
+	seen *[numEventKinds]bool
 }
 
-func newEventSums() *eventSums {
-	return &eventSums{
-		listReadBytes: map[Level]int64{},
-		resultHits:    map[Level]int64{},
-		resultEvicts:  map[Level]int64{},
-		listEvicts:    map[Level]int64{},
-	}
+func (f *statsFold) handle(e Event) {
+	f.st.apply(e)
+	f.seen[e.Kind] = true
 }
 
-func (s *eventSums) handle(e Event) {
-	switch e.Kind {
-	case EvIOError:
-		s.ioErrors++
-		s.ioErrorBytes += e.Bytes
-	case EvDegraded:
-		s.degraded++
-	case EvListRead:
-		s.listReadBytes[e.Level] += e.Bytes
-	case EvResultHit:
-		s.resultHits[e.Level]++
-	case EvResultMiss:
-		s.resultMisses++
-	case EvResultEvict:
-		s.resultEvicts[e.Level]++
-	case EvListEvict:
-		s.listEvicts[e.Level]++
-	case EvResultFlush:
-		s.resultFlushBytes += e.Bytes
-	case EvListFlush:
-		s.listFlushBytes += e.Bytes
-		s.listFlushes++
-	}
-}
-
-// check asserts every stats≡trace equation against the manager's counters.
-func (s *eventSums) check(t *testing.T, st Stats) {
+// check asserts the folded stream equals the manager's counters exactly.
+func (f *statsFold) check(t *testing.T, st Stats) {
 	t.Helper()
-	eq := func(name string, got, want int64) {
-		t.Helper()
-		if got != want {
-			t.Errorf("stats≡trace divergence: %s: events %d, stats %d", name, got, want)
+	if reflect.DeepEqual(f.st, st) {
+		return
+	}
+	got, want := reflect.ValueOf(f.st), reflect.ValueOf(st)
+	for i := 0; i < got.NumField(); i++ {
+		if g, w := got.Field(i).Interface(), want.Field(i).Interface(); !reflect.DeepEqual(g, w) {
+			t.Errorf("stats≡trace divergence: %s: events %v, stats %v",
+				got.Type().Field(i).Name, g, w)
 		}
 	}
-	eq("io errors", s.ioErrors, st.SSDReadErrors+st.SSDWriteErrors+st.SSDTrimErrors)
-	eq("degraded serves", s.degraded, st.DegradedServes)
-	eq("list bytes mem", s.listReadBytes[LevelMem], st.ListBytesFromMem)
-	eq("list bytes ssd", s.listReadBytes[LevelSSD], st.ListBytesFromSSD)
-	eq("list bytes hdd", s.listReadBytes[LevelHDD], st.ListBytesFromHDD)
-	eq("result hits mem", s.resultHits[LevelMem], st.ResultHitsMem)
-	eq("result hits ssd", s.resultHits[LevelSSD], st.ResultHitsSSD)
-	eq("result misses", s.resultMisses, st.ResultMisses)
-	eq("result evicts mem", s.resultEvicts[LevelMem], st.L1ResultEvictions)
-	eq("result evicts ssd", s.resultEvicts[LevelSSD], st.L2ResultEvictions+st.RBRetired)
-	eq("list evicts mem", s.listEvicts[LevelMem], st.L1ListEvictions)
-	eq("list evicts ssd", s.listEvicts[LevelSSD], st.L2ListEvictions)
-	eq("result flush bytes", s.resultFlushBytes, st.ResultBytesToSSD)
-	eq("list flush bytes", s.listFlushBytes, st.ListBytesToSSD)
-	eq("list flushes", s.listFlushes, st.ListWritesToSSD)
 }
 
-// TestDivergenceUnderInjectedFaults is the extended divergence test of the
-// stats≡trace contract (DESIGN §9): under probabilistic fault injection —
-// transient errors on every op class, sticky bad extents, a pre-seeded dead
-// range — summing event payloads still reproduces core.Stats exactly, the
-// invariants hold throughout, and nothing panics.
+// driveMixed runs n bracketed queries of mixed result probes and list
+// reads of 1 KB up to 1 KB+maxRead against m, checking invariants every
+// 500 queries.
+func driveMixed(t *testing.T, m *Manager, ix *index.Index, vocab int, rng *simclock.RNG, n int, maxRead int64) {
+	t.Helper()
+	size := m.Config().ResultEntryBytes
+	for i := 0; i < n; i++ {
+		qid := rng.Uint64() % 300
+		m.BeginQuery(qid)
+		if _, src := m.GetResult(qid); src == ResultMiss {
+			for k := 0; k < 2; k++ {
+				term := workload.TermID(rng.Uint64() % uint64(vocab))
+				n := int64(1<<10) + int64(rng.Uint64()%uint64(maxRead))
+				if total := ix.ListBytes(term); n > total {
+					n = total
+				}
+				buf := make([]byte, n)
+				if err := m.ReadListRange(term, 0, buf); err != nil {
+					t.Fatalf("query %d: list read failed despite HDD fallback: %v", i, err)
+				}
+			}
+			if err := m.PutResult(qid, entryOf(qid, byte(qid), size)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		m.EndQuery(time.Duration(i+1) * time.Microsecond)
+		if i%500 == 499 {
+			if err := m.CheckInvariants(); err != nil {
+				t.Fatalf("query %d: %v", i, err)
+			}
+		}
+	}
+	m.FlushWriteBuffer()
+}
+
+// TestDivergenceUnderInjectedFaults is the stats≡trace contract (DESIGN
+// §9): under probabilistic fault injection — transient errors on every op
+// class, sticky bad extents, a pre-seeded dead range — folding the event
+// stream reproduces core.Stats exactly, for every registered policy, under
+// TTL expiry, and after a warm restart. Across the matrix every event kind
+// must fire, so no branch of the fold goes untested.
 func TestDivergenceUnderInjectedFaults(t *testing.T) {
 	spec := storage.FaultSpec{
 		Seed:       99,
@@ -604,16 +595,26 @@ func TestDivergenceUnderInjectedFaults(t *testing.T) {
 		StickyProb: 0.5,
 		BadExtents: 1,
 	}
-	for _, policy := range allPolicies() {
-		t.Run(policy.String(), func(t *testing.T) {
+	faulty := func(inner storage.Device) storage.Device {
+		return storage.NewFaultyDevice(&flakyDevice{inner: inner}, spec, nil)
+	}
+	var seen [numEventKinds]bool
+	ran := 0
+	run := func(name string, body func(t *testing.T, fold *statsFold)) {
+		t.Run(name, func(t *testing.T) {
+			fold := &statsFold{seen: &seen}
+			body(t, fold)
+			ran++
+		})
+	}
+
+	policies := allPolicies()
+	for _, policy := range policies {
+		run(policy.String(), func(t *testing.T, fold *statsFold) {
 			cfg := testConfig(policy)
 			cfg.BreakerThreshold = 2 // make degraded windows likely
-			f := newFaultFixture(t, cfg, func(inner storage.Device) storage.Device {
-				return storage.NewFaultyDevice(&flakyDevice{inner: inner}, spec, nil)
-			})
-			sums := newEventSums()
-			f.m.SetEventSink(sums.handle)
-
+			f := newFaultFixture(t, cfg, faulty)
+			f.m.SetEventSink(fold.handle)
 			if policy == PolicyCBSLRU {
 				for qid := uint64(1); qid <= 10; qid++ {
 					f.m.PinResult(qid, entryOf(qid, 0x11, cfg.ResultEntryBytes))
@@ -622,40 +623,74 @@ func TestDivergenceUnderInjectedFaults(t *testing.T) {
 					f.m.PinList(term)
 				}
 			}
-
-			rng := simclock.NewRNG(17)
-			for i := 0; i < 4000; i++ {
-				qid := rng.Uint64() % 300
-				if _, src := f.m.GetResult(qid); src == ResultMiss {
-					if err := f.m.PutResult(qid, entryOf(qid, byte(qid), cfg.ResultEntryBytes)); err != nil {
-						t.Fatal(err)
-					}
-				}
-				term := workload.TermID(rng.Uint64() % uint64(f.spec.VocabSize))
-				n := int64(1<<10) + int64(rng.Uint64()%(16<<10))
-				if total := f.ix.ListBytes(term); n > total {
-					n = total
-				}
-				buf := make([]byte, n)
-				if err := f.m.ReadListRange(term, 0, buf); err != nil {
-					t.Fatalf("iter %d: list read failed despite HDD fallback: %v", i, err)
-				}
-				if i%500 == 499 {
-					if err := f.m.CheckInvariants(); err != nil {
-						t.Fatalf("iter %d: %v", i, err)
-					}
-				}
-			}
-			f.m.FlushWriteBuffer()
+			driveMixed(t, f.m, f.ix, f.spec.VocabSize, simclock.NewRNG(17), 4000, 16<<10)
 
 			st := f.m.Stats()
 			if st.SSDReadErrors+st.SSDWriteErrors+st.SSDTrimErrors == 0 {
 				t.Fatal("fault injection produced no device errors — test exercised nothing")
 			}
-			sums.check(t, st)
+			fold.check(t, st)
 			if err := f.m.CheckInvariants(); err != nil {
 				t.Fatal(err)
 			}
 		})
+	}
+
+	run("ttl", func(t *testing.T, fold *statsFold) {
+		cfg := testConfig(PolicyCBLRU)
+		cfg.ResultTTL = 500 * time.Microsecond
+		cfg.ListTTL = 500 * time.Microsecond
+		f := newFaultFixture(t, cfg, faulty)
+		f.m.SetEventSink(fold.handle)
+		driveMixed(t, f.m, f.ix, f.spec.VocabSize, simclock.NewRNG(23), 3000, 16<<10)
+		st := f.m.Stats()
+		if st.ResultsExpired == 0 || st.ListsExpired == 0 {
+			t.Fatalf("TTL run expired %d results, %d lists", st.ResultsExpired, st.ListsExpired)
+		}
+		fold.check(t, st)
+	})
+
+	run("restart", func(t *testing.T, fold *statsFold) {
+		cfg := testConfig(PolicyCBLRU)
+		cfg.MemListBytes = 64 << 10 // force list flushes to SSD
+		f := newFixture(t, cfg)
+		populate(t, f)
+		if err := f.m.SaveMappings(); err != nil {
+			t.Fatal(err)
+		}
+		m2 := f.restore(t, cfg)
+		m2.SetEventSink(fold.handle)
+		driveMixed(t, m2, f.ix, f.spec.VocabSize, simclock.NewRNG(31), 2000, 16<<10)
+		fold.check(t, m2.Stats())
+	})
+
+	// Small blocks give multi-block extents; with a one-entry replace-first
+	// window and a tight list region they reach the last rung of the Fig 13
+	// ladder, and whole-list reads exceed the L1 per-entry cap.
+	run("ladder", func(t *testing.T, fold *statsFold) {
+		cfg := testConfig(PolicyCBLRU)
+		cfg.BlockBytes = 16 << 10
+		cfg.ResultEntryBytes = 4 << 10
+		cfg.SSDListBytes = 256 << 10
+		cfg.MemListBytes = 128 << 10
+		cfg.WindowW = 1
+		f := newFaultFixture(t, cfg, faulty)
+		f.m.SetEventSink(fold.handle)
+		driveMixed(t, f.m, f.ix, f.spec.VocabSize, simclock.NewRNG(37), 2000, 120<<10)
+		st := f.m.Stats()
+		if st.ListPlacementWorstCase == 0 || st.ListsTooLargeForL1 == 0 {
+			t.Fatalf("ladder run: %d worst-case placements, %d lists too large for L1",
+				st.ListPlacementWorstCase, st.ListsTooLargeForL1)
+		}
+		fold.check(t, st)
+	})
+
+	if ran != len(policies)+3 {
+		return // a -run filter skipped part of the matrix
+	}
+	for k := EventKind(0); k < numEventKinds; k++ {
+		if !seen[k] {
+			t.Errorf("event kind %s never fired across the matrix", k)
+		}
 	}
 }

@@ -22,7 +22,7 @@ func (m *Manager) ReadListRange(t workload.TermID, off int64, p []byte) error {
 			t, off, len(p), total)
 	}
 	m.noteTermAccess(t)
-	m.stats.ListBytesRequested += int64(len(p))
+	m.record(Event{Kind: EvListRange, Term: t, Bytes: int64(len(p))})
 
 	pos := off
 	end := off + int64(len(p))
@@ -34,7 +34,7 @@ func (m *Manager) ReadListRange(t workload.TermID, off int64, p []byte) error {
 		if m.listExpired(l1.loadedAt) {
 			m.ic.RemoveEntry(e)
 			m.repl.NoteL1ListEvict(t)
-			m.stats.ListsExpired++
+			m.record(Event{Kind: EvListExpire, Term: t, Level: LevelMem})
 			l1 = nil
 		} else {
 			m.repl.NoteL1ListHit(t)
@@ -48,9 +48,7 @@ func (m *Manager) ReadListRange(t workload.TermID, off int64, p []byte) error {
 			}
 			copy(p[:n], l1.prefix[pos:pos+n])
 			m.memCost(int(n))
-			m.noteTermSource(t, srcMem)
-			m.stats.ListBytesFromMem += n
-			m.emit(Event{Kind: EvListRead, Term: t, Level: LevelMem, Bytes: n})
+			m.record(Event{Kind: EvListRead, Term: t, Level: LevelMem, Bytes: n})
 			pos += n
 		}
 	}
@@ -74,9 +72,7 @@ func (m *Manager) ReadListRange(t workload.TermID, off int64, p []byte) error {
 					// so it is neither re-read nor re-allocated.
 					m.quarantineSSDList(sl)
 				} else {
-					m.noteTermSource(t, srcSSD)
-					m.stats.ListBytesFromSSD += n
-					m.emit(Event{Kind: EvListRead, Term: t, Level: LevelSSD, Bytes: n})
+					m.record(Event{Kind: EvListRead, Term: t, Level: LevelSSD, Bytes: n})
 					pos += n
 					m.onSSDListHit(t, sl)
 				}
@@ -90,10 +86,7 @@ func (m *Manager) ReadListRange(t workload.TermID, off int64, p []byte) error {
 		if err := m.ix.ReadListRange(t, pos, p[pos-off:]); err != nil {
 			return fmt.Errorf("core: index read: %w", err)
 		}
-		m.noteTermSource(t, srcHDD)
-		m.stats.ListBytesFromHDD += end - pos
-		m.stats.ListReqBytesFromHDD += end - pos
-		m.emit(Event{Kind: EvListRead, Term: t, Level: LevelHDD, Bytes: end - pos})
+		m.record(Event{Kind: EvListRead, Term: t, Level: LevelHDD, Bytes: end - pos})
 		pos = end
 		hddTail = true
 	}
@@ -117,7 +110,7 @@ func (m *Manager) ssdListFor(t workload.TermID) *ssdList {
 		dyn := e.Value.(*ssdList)
 		if m.listExpired(dyn.loadedAt) {
 			m.evictSSDList(e)
-			m.stats.ListsExpired++
+			m.record(Event{Kind: EvListExpire, Term: t, Level: LevelSSD})
 		} else if static == nil || dyn.validBytes > static.validBytes {
 			return dyn
 		}
@@ -156,7 +149,7 @@ func (m *Manager) fillL1List(t workload.TermID, l1 *memList, off int64, p []byte
 			return // whole list already resident
 		}
 		if total > capBytes {
-			m.stats.ListsTooLargeForL1++
+			m.record(Event{Kind: EvListTooLarge, Term: t})
 			return
 		}
 		whole := make([]byte, total)
@@ -184,7 +177,7 @@ func (m *Manager) fillL1List(t workload.TermID, l1 *memList, off int64, p []byte
 		return // gap, or nothing new
 	}
 	if endPos > capBytes {
-		m.stats.ListsTooLargeForL1++
+		m.record(Event{Kind: EvListTooLarge, Term: t})
 		return
 	}
 
@@ -210,7 +203,7 @@ func (m *Manager) fillL1List(t workload.TermID, l1 *memList, off int64, p []byte
 	copy(grown[off:], p)
 	if target > endPos {
 		m.readThrough(t, endPos, grown[endPos:])
-		m.stats.ListBytesPrefetched += target - endPos
+		m.record(Event{Kind: EvListPrefetch, Term: t, Bytes: target - endPos})
 	}
 
 	if l1 == nil {
@@ -229,9 +222,9 @@ func (m *Manager) fillL1List(t workload.TermID, l1 *memList, off int64, p []byte
 }
 
 // readThrough reads list bytes from below L1 (SSD prefix then index),
-// without touching L1 state. Used by whole-list fetches. An SSD failure
-// falls through to the index, and stats/events are only recorded for bytes
-// actually delivered — a failed read must not count as served traffic.
+// without touching L1 state. Used by whole-list fetches and readahead. An
+// SSD failure falls through to the index, and events are only recorded for
+// bytes actually delivered — a failed read must not count as served traffic.
 func (m *Manager) readThrough(t workload.TermID, off int64, p []byte) {
 	pos := off
 	end := off + int64(len(p))
@@ -247,18 +240,14 @@ func (m *Manager) readThrough(t workload.TermID, off int64, p []byte) {
 			if err := m.ssdRead(p[:n], m.icBase()+sl.off+pos); err != nil {
 				m.quarantineSSDList(sl)
 			} else {
-				m.stats.ListBytesFromSSD += n
-				m.noteTermSource(t, srcSSD)
-				m.emit(Event{Kind: EvListRead, Term: t, Level: LevelSSD, Bytes: n})
+				m.record(Event{Kind: EvListRead, Term: t, Level: LevelSSD, Detail: DetailReadThrough, Bytes: n})
 				pos += n
 			}
 		}
 	}
 	if pos < end {
 		if err := m.ix.ReadListRange(t, pos, p[pos-off:]); err == nil {
-			m.stats.ListBytesFromHDD += end - pos
-			m.noteTermSource(t, srcHDD)
-			m.emit(Event{Kind: EvListRead, Term: t, Level: LevelHDD, Bytes: end - pos})
+			m.record(Event{Kind: EvListRead, Term: t, Level: LevelHDD, Detail: DetailReadThrough, Bytes: end - pos})
 		}
 	}
 }
@@ -291,8 +280,7 @@ func (m *Manager) makeRoomIC(need int64, exclude *cache.Entry) {
 		ml := victim.Value.(*memList)
 		m.ic.RemoveEntry(victim)
 		m.repl.NoteL1ListEvict(ml.term)
-		m.stats.L1ListEvictions++
-		m.emit(Event{Kind: EvListEvict, Term: ml.term, Level: LevelMem})
+		m.record(Event{Kind: EvListEvict, Term: ml.term, Level: LevelMem})
 		m.flushListToSSD(ml)
 	}
 }

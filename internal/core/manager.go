@@ -150,7 +150,7 @@ type Manager struct {
 	curQuery       uint64
 	curQueryActive bool
 	curResultSrc   sourceSet
-	curTermSrc     map[workload.TermID]sourceSet
+	curTerms       []termSource // in first-access order
 
 	// events, when set, receives fine-grained manager events (see events.go).
 	events func(Event)
@@ -210,7 +210,6 @@ func New(clock *simclock.Clock, ix *index.Index, ssd storage.Device, cfg Config)
 		termFreq:     make(map[workload.TermID]int64),
 		queryFreq:    make(map[uint64]int64),
 		puMeasured:   make(map[workload.TermID]float64),
-		curTermSrc:   make(map[workload.TermID]sourceSet),
 	}
 	if m.entriesPerRB < 1 {
 		return nil, fmt.Errorf("core: result entry %d larger than block %d",
@@ -352,20 +351,11 @@ func (m *Manager) ssdTrim(off, n int64) {
 	m.pushBusy(lat)
 }
 
-// noteSSDError accounts one failed SSD operation: per-kind counter, an
-// EvIOError event (so trace sinks see every device failure), and the
-// circuit-breaker streak. BreakerThreshold consecutive failures open the
-// breaker for BreakerCooldown simulated time.
+// noteSSDError accounts one failed SSD operation (an EvIOError event) and
+// the circuit-breaker streak. BreakerThreshold consecutive failures open
+// the breaker for BreakerCooldown simulated time.
 func (m *Manager) noteSSDError(kind storage.OpKind, n int64) {
-	switch kind {
-	case storage.OpRead:
-		m.stats.SSDReadErrors++
-	case storage.OpWrite:
-		m.stats.SSDWriteErrors++
-	default:
-		m.stats.SSDTrimErrors++
-	}
-	m.emit(Event{Kind: EvIOError, Level: LevelSSD, Bytes: n})
+	m.record(Event{Kind: EvIOError, Level: LevelSSD, Op: kind, Bytes: n})
 	if m.cfg.BreakerThreshold <= 0 {
 		return
 	}
@@ -373,7 +363,7 @@ func (m *Manager) noteSSDError(kind storage.OpKind, n int64) {
 	if m.ssdFailStreak >= m.cfg.BreakerThreshold {
 		m.ssdFailStreak = 0
 		m.breakerOpenUntil = m.clock.Now() + m.cfg.BreakerCooldown
-		m.stats.BreakerTrips++
+		m.record(Event{Kind: EvBreakerTrip})
 	}
 }
 
@@ -391,16 +381,14 @@ func (m *Manager) DegradedMode() bool {
 
 // noteDegraded accounts one request served around the open breaker.
 func (m *Manager) noteDegraded() {
-	m.stats.DegradedServes++
-	m.emit(Event{Kind: EvDegraded, Level: LevelSSD})
+	m.record(Event{Kind: EvDegraded, Level: LevelSSD})
 }
 
 // quarantine retires an allocator extent whose device range failed and
 // accounts the lost capacity.
 func (m *Manager) quarantine(a *storage.Allocator, off, n int64) {
 	a.Quarantine(off, n)
-	m.stats.ExtentsQuarantined++
-	m.stats.QuarantinedBytes += n
+	m.record(Event{Kind: EvQuarantine, Bytes: n})
 }
 
 func (m *Manager) pushBusy(lat time.Duration) {

@@ -13,8 +13,8 @@ package core
 // the serving paths.
 //
 // Every implementation must preserve the Manager's contracts: the
-// invariant checker (invariants.go), the stats≡trace pairing
-// (events.go, enforced by hybridlint statsevent), deterministic behavior
+// invariant checker (invariants.go), stats≡trace (every Stats change is an
+// event folded by Manager.record, events.go), deterministic behavior
 // under a fixed seed (byte-identical experiment output at any -jobs), and
 // exact accounting under injected device faults.
 

@@ -116,7 +116,9 @@ func TestFreqGatedAdmissionWarmsUp(t *testing.T) {
 	if f.m.adm.AdmitList(term, 1) {
 		t.Fatal("admitted a never-seen term")
 	}
-	f.m.stats.ListsRejectedByAdmission = 0 // only count the probe above
+	if got := f.m.Stats().ListsRejectedByAdmission; got != 1 {
+		t.Fatalf("ListsRejectedByAdmission = %d after one reject, want 1", got)
+	}
 	f.m.termFreq[term] = 2
 	if !f.m.adm.AdmitList(term, 1) {
 		t.Fatal("rejected a term at the frequency threshold")

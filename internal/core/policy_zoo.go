@@ -19,8 +19,9 @@ package core
 //
 // All zoo policies keep the Manager's contracts: deterministic victim
 // choice (linked-list order plus point map lookups only — no map
-// iteration), exact accounting under injected faults, and the stats≡trace
-// tables of events.go.
+// iteration), exact accounting under injected faults, and stats≡trace:
+// a policy that counts a decision records an event (Manager.record), never
+// a bare Stats bump.
 
 import (
 	"hybridstore/internal/cache"
@@ -325,7 +326,7 @@ type freqGatedAdmission struct {
 
 func (a *freqGatedAdmission) AdmitList(t workload.TermID, sc int64) bool {
 	if a.m.termFreq[t] < 2 {
-		a.m.stats.ListsRejectedByAdmission++
+		a.m.record(Event{Kind: EvListReject, Term: t})
 		return false
 	}
 	return !(ev(a.m.termFreq[t], sc) < a.m.cfg.TEV)

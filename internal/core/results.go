@@ -25,45 +25,37 @@ func (m *Manager) GetResult(qid uint64) ([]byte, ResultSource) {
 		mr := e.Value.(*memResult)
 		if m.resultExpired(mr.loadedAt) {
 			m.rc.RemoveEntry(e)
-			m.stats.ResultsExpired++
+			m.record(Event{Kind: EvResultExpire, Level: LevelMem})
 		} else {
 			m.memCost(len(mr.data))
-			m.noteResultSource(srcMem)
-			m.stats.ResultHitsMem++
-			m.emit(Event{Kind: EvResultHit, Level: LevelMem, Bytes: int64(len(mr.data))})
+			m.record(Event{Kind: EvResultHit, Level: LevelMem, Bytes: int64(len(mr.data))})
 			return mr.data, ResultFromMemory
 		}
 	}
 	for _, b := range m.writeBuf {
 		if b.qid == qid && !m.resultExpired(b.loadedAt) {
 			m.memCost(len(b.data))
-			m.noteResultSource(srcMem)
-			m.stats.ResultHitsMem++
-			m.emit(Event{Kind: EvResultHit, Level: LevelMem, Bytes: int64(len(b.data))})
+			m.record(Event{Kind: EvResultHit, Level: LevelMem, Bytes: int64(len(b.data))})
 			return b.data, ResultFromMemory
 		}
 	}
 	if loc, ok := m.resultLoc[qid]; ok {
 		if !loc.rb.static && m.resultExpired(loc.loadedAt) {
 			m.expireSSDResult(loc)
-			m.stats.ResultMisses++
-			m.emit(Event{Kind: EvResultMiss})
+			m.record(Event{Kind: EvResultMiss})
 			return nil, ResultMiss
 		}
 		if !m.ssdHealthy() {
 			// Breaker open: route around the SSD tier. The mapping stays —
 			// the entry may still be readable once the breaker closes.
 			m.noteDegraded()
-			m.stats.ResultMisses++
-			m.emit(Event{Kind: EvResultMiss})
+			m.record(Event{Kind: EvResultMiss})
 			return nil, ResultMiss
 		}
 		data := make([]byte, m.cfg.ResultEntryBytes)
 		off := loc.rb.off + int64(loc.slot)*m.cfg.ResultEntryBytes
 		if err := m.ssdRead(data, off); err == nil {
-			m.noteResultSource(srcSSD)
-			m.stats.ResultHitsSSD++
-			m.emit(Event{Kind: EvResultHit, Level: LevelSSD, Bytes: int64(len(data))})
+			m.record(Event{Kind: EvResultHit, Level: LevelSSD, Bytes: int64(len(data))})
 			// Promotion is the policy's call (the bidirectional filter
 			// serves straight from SSD until repeat demand); the Fig 9
 			// replaceable flip only applies when the data actually moved up.
@@ -95,18 +87,17 @@ func (m *Manager) GetResult(qid uint64) ([]byte, ResultSource) {
 			}
 		}
 	}
-	m.stats.ResultMisses++
-	m.emit(Event{Kind: EvResultMiss})
+	m.record(Event{Kind: EvResultMiss})
 	return nil, ResultMiss
 }
 
 // expireSSDResult removes a TTL-expired dynamic SSD result entry with full
-// accounting: the eviction is counted and emitted (stats≡trace, DESIGN §9)
+// accounting: the expiry and the eviction are both recorded (DESIGN §9)
 // and the slot's bytes are trimmed. Under the LRU baseline the whole
 // pseudo-RB is released; under the cost-based policies only the slot is
 // invalidated (the RB lives on for IREN-based replacement).
 func (m *Manager) expireSSDResult(loc *ssdResult) {
-	m.stats.ResultsExpired++
+	m.record(Event{Kind: EvResultExpire, Level: LevelSSD})
 	if !m.repl.BlockAlignedL2() {
 		m.freeLRUResult(loc)
 		return
@@ -114,8 +105,7 @@ func (m *Manager) expireSSDResult(loc *ssdResult) {
 	loc.rb.slots[loc.slot] = nil
 	delete(m.resultLoc, loc.qid)
 	m.ssdTrim(loc.rb.off+int64(loc.slot)*m.cfg.ResultEntryBytes, m.cfg.ResultEntryBytes)
-	m.stats.L2ResultEvictions++
-	m.emit(Event{Kind: EvResultEvict, Level: LevelSSD})
+	m.record(Event{Kind: EvResultEvict, Level: LevelSSD})
 }
 
 // quarantineRB retires a dynamic result block whose device range failed:
@@ -131,8 +121,7 @@ func (m *Manager) quarantineRB(rb *resultBlock) {
 		m.rbLRU.RemoveEntry(e)
 	}
 	m.quarantine(m.rcAlloc, rb.off, m.cfg.BlockBytes)
-	m.stats.RBRetired++
-	m.emit(Event{Kind: EvResultEvict, Level: LevelSSD})
+	m.record(Event{Kind: EvResultEvict, Level: LevelSSD, Detail: DetailRB})
 }
 
 // quarantineLRUResult is the baseline counterpart of quarantineRB for a
@@ -143,8 +132,7 @@ func (m *Manager) quarantineLRUResult(loc *ssdResult) {
 		m.rbLRU.RemoveEntry(e)
 	}
 	m.quarantine(m.rcAlloc, loc.rb.off, m.cfg.ResultEntryBytes)
-	m.stats.L2ResultEvictions++
-	m.emit(Event{Kind: EvResultEvict, Level: LevelSSD})
+	m.record(Event{Kind: EvResultEvict, Level: LevelSSD})
 }
 
 // PutResult caches a freshly computed result entry in L1. The entry must
@@ -182,7 +170,7 @@ func (m *Manager) putResultL1(qid uint64, data []byte) {
 			return
 		}
 		m.rc.RemoveEntry(e) // refresh expired content below
-		m.stats.ResultsExpired++
+		m.record(Event{Kind: EvResultExpire, Level: LevelMem})
 	}
 	size := int64(len(data))
 	for !m.rc.Fits(size) {
@@ -191,8 +179,7 @@ func (m *Manager) putResultL1(qid uint64, data []byte) {
 			return
 		}
 		m.rc.RemoveEntry(victim)
-		m.stats.L1ResultEvictions++
-		m.emit(Event{Kind: EvResultEvict, Level: LevelMem})
+		m.record(Event{Kind: EvResultEvict, Level: LevelMem})
 		mr := victim.Value.(*memResult)
 		m.evictResultToSSD(victim.Key, mr)
 	}
@@ -205,11 +192,11 @@ func (m *Manager) putResultL1(qid uint64, data []byte) {
 // SSD writes.
 func (m *Manager) evictResultToSSD(qid uint64, mr *memResult) {
 	if m.resultExpired(mr.loadedAt) {
-		m.stats.ResultsExpired++
+		m.record(Event{Kind: EvResultExpire, Level: LevelMem})
 		return
 	}
 	if m.rbLRU == nil {
-		m.stats.ResultsDropped++
+		m.dropResults(1)
 		return
 	}
 	if !m.repl.BlockAlignedL2() {
@@ -222,11 +209,11 @@ func (m *Manager) evictResultToSSD(qid uint64, mr *memResult) {
 	// the write entirely.
 	if loc, ok := m.resultLoc[qid]; ok {
 		loc.state = stateNormal
-		m.stats.ResultWritesElided++
+		m.record(Event{Kind: EvResultElide})
 		return
 	}
 	if !m.adm.AdmitResult(qid) {
-		m.stats.ResultsRejectedByAdmission++
+		m.record(Event{Kind: EvResultReject})
 		return
 	}
 	m.writeBuf = append(m.writeBuf, bufferedResult{qid: qid, data: mr.data, loadedAt: mr.loadedAt})
@@ -251,7 +238,7 @@ func (m *Manager) flushResultBlock() {
 	if !m.ssdHealthy() {
 		// Breaker open: flushing would hammer the failing device. Drop the
 		// batch with accounting instead of letting the buffer grow unbounded.
-		m.stats.ResultsDropped += int64(n)
+		m.dropResults(n)
 		return
 	}
 
@@ -259,13 +246,13 @@ func (m *Manager) flushResultBlock() {
 	if !ok {
 		rb := m.chooseVictimRB()
 		if rb == nil {
-			m.stats.ResultsDropped += int64(n)
+			m.dropResults(n)
 			return
 		}
 		m.retireRB(rb)
 		off, ok = m.rcAlloc.AllocAligned(m.cfg.BlockBytes, m.cfg.BlockBytes)
 		if !ok {
-			m.stats.ResultsDropped += int64(n)
+			m.dropResults(n)
 			return
 		}
 	}
@@ -287,18 +274,16 @@ func (m *Manager) flushResultBlock() {
 		for _, b := range batch {
 			delete(m.resultLoc, b.qid)
 			if b.requeued {
-				m.stats.ResultsDropped++
+				m.dropResults(1)
 				continue
 			}
 			b.requeued = true
 			m.writeBuf = append(m.writeBuf, b)
-			m.stats.ResultsRequeued++
+			m.record(Event{Kind: EvResultRequeue})
 		}
 		return
 	}
-	m.stats.ResultBytesToSSD += m.cfg.BlockBytes
-	m.stats.RBFlushes++
-	m.emit(Event{Kind: EvResultFlush, Bytes: m.cfg.BlockBytes})
+	m.record(Event{Kind: EvResultFlush, Detail: DetailRB, Bytes: m.cfg.BlockBytes})
 	m.rbLRU.Put(rb.num, m.cfg.BlockBytes, rb)
 }
 
@@ -333,8 +318,7 @@ func (m *Manager) retireRB(rb *resultBlock) {
 	}
 	m.rcAlloc.Free(rb.off, m.cfg.BlockBytes)
 	m.ssdTrim(rb.off, m.cfg.BlockBytes)
-	m.stats.RBRetired++
-	m.emit(Event{Kind: EvResultEvict, Level: LevelSSD})
+	m.record(Event{Kind: EvResultEvict, Level: LevelSSD, Detail: DetailRB})
 }
 
 // evictResultLRU is the baseline path: the 20 KB entry is written
@@ -343,7 +327,7 @@ func (m *Manager) retireRB(rb *resultBlock) {
 func (m *Manager) evictResultLRU(qid uint64, data []byte) {
 	size := int64(len(data))
 	if !m.ssdHealthy() {
-		m.stats.ResultsDropped++
+		m.dropResults(1)
 		return
 	}
 	if old, ok := m.resultLoc[qid]; ok {
@@ -357,7 +341,7 @@ func (m *Manager) evictResultLRU(qid uint64, data []byte) {
 		}
 		e := m.rbLRU.LRUEntry()
 		if e == nil {
-			m.stats.ResultsDropped++
+			m.dropResults(1)
 			return
 		}
 		m.freeLRUResult(e.Value.(*resultBlock).slots[0])
@@ -371,11 +355,10 @@ func (m *Manager) evictResultLRU(qid uint64, data []byte) {
 	if err := m.ssdWrite(data, off); err != nil {
 		// Accounted loss: the entry is gone and the failed range is retired.
 		m.quarantine(m.rcAlloc, off, size)
-		m.stats.ResultsDropped++
+		m.dropResults(1)
 		return
 	}
-	m.stats.ResultBytesToSSD += size
-	m.emit(Event{Kind: EvResultFlush, Bytes: size})
+	m.record(Event{Kind: EvResultFlush, Bytes: size})
 	m.resultLoc[qid] = loc
 	m.rbLRU.Put(rb.num, size, rb)
 }
@@ -387,8 +370,14 @@ func (m *Manager) freeLRUResult(loc *ssdResult) {
 		m.rbLRU.RemoveEntry(e)
 	}
 	m.rcAlloc.Free(loc.rb.off, m.cfg.ResultEntryBytes)
-	m.stats.L2ResultEvictions++
-	m.emit(Event{Kind: EvResultEvict, Level: LevelSSD})
+	m.record(Event{Kind: EvResultEvict, Level: LevelSSD})
+}
+
+// dropResults accounts n evicted result entries lost instead of flushed.
+func (m *Manager) dropResults(n int) {
+	for i := 0; i < n; i++ {
+		m.record(Event{Kind: EvResultDrop})
+	}
 }
 
 // PinResult stores an encoded result entry in the static partition of the
@@ -440,8 +429,7 @@ func (m *Manager) PinResult(qid uint64, data []byte) bool {
 		// against repeatedly.
 		return false
 	}
-	m.stats.ResultBytesToSSD += int64(len(data))
-	m.emit(Event{Kind: EvResultFlush, Bytes: int64(len(data))})
+	m.record(Event{Kind: EvResultFlush, Bytes: int64(len(data))})
 	loc := &ssdResult{qid: qid, rb: rb, slot: i}
 	rb.slots[i] = loc
 	m.resultLoc[qid] = loc

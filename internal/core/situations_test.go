@@ -186,3 +186,34 @@ func TestSituationProbabilitiesSumToOne(t *testing.T) {
 		t.Fatalf("probabilities sum to %v", sum)
 	}
 }
+
+// TestStatsEventPairsReproduceTotals pins the query path's 1:1 count
+// contract to its emit site: every EndQuery emits exactly one EvQueryEnd,
+// so the event count must equal both Stats.Queries and the total of the
+// situation tally. TestDivergenceUnderInjectedFaults checks the full fold
+// under faults; this is the minimal fault-free case.
+func TestStatsEventPairsReproduceTotals(t *testing.T) {
+	m := newFixture(t, testConfig(PolicyLRU)).m
+	counts := map[EventKind]int64{}
+	m.SetEventSink(func(e Event) { counts[e.Kind]++ })
+
+	m.BeginQuery(1)
+	m.EndQuery(10)
+	m.BeginQuery(2)
+	m.EndQuery(20)
+
+	st := m.Stats()
+	if got, want := counts[EvQueryEnd], st.Queries; got != want {
+		t.Errorf("EvQueryEnd count = %d, Stats.Queries = %d", got, want)
+	}
+	var sits int64
+	for _, c := range st.Situations.Counts {
+		sits += c
+	}
+	if got := counts[EvQueryEnd]; got != sits {
+		t.Errorf("EvQueryEnd count = %d, situation tally total = %d", got, sits)
+	}
+	if counts[EvQueryEnd] != 2 {
+		t.Errorf("EvQueryEnd count = %d, want 2", counts[EvQueryEnd])
+	}
+}

@@ -15,17 +15,13 @@ func (m *Manager) icBase() int64 { return m.cfg.SSDResultBytes }
 // wherever it fits, at entry granularity.
 func (m *Manager) flushListToSSD(ml *memList) {
 	if m.listExpired(ml.loadedAt) {
-		m.stats.ListsExpired++
+		m.record(Event{Kind: EvListExpire, Term: ml.term, Level: LevelMem})
 		return
 	}
-	if m.icLRU == nil {
-		m.stats.ListsDiscarded++
-		return
-	}
-	if !m.ssdHealthy() {
-		// Breaker open: discard instead of writing into a failing device.
-		// The list is still fully readable from the backing index.
-		m.stats.ListsDiscarded++
+	if m.icLRU == nil || !m.ssdHealthy() {
+		// No L2, or the breaker is open: discard instead of writing into a
+		// failing device. The list is still fully readable from the index.
+		m.record(Event{Kind: EvListDiscard, Term: ml.term})
 		return
 	}
 	if !m.repl.BlockAlignedL2() {
@@ -44,12 +40,8 @@ func (m *Manager) flushListToSSD(ml *memList) {
 	// Selection: the admission policy decides what is worth flash writes
 	// (the paper's EV-vs-TEV check under the cost-based policies; the
 	// frequency doorkeeper additionally rejects one-hit wonders).
-	if !m.adm.AdmitList(ml.term, sc) {
-		m.stats.ListsDiscarded++
-		return
-	}
-	if scBytes > m.icLRU.Capacity() {
-		m.stats.ListsDiscarded++
+	if !m.adm.AdmitList(ml.term, sc) || scBytes > m.icLRU.Capacity() {
+		m.record(Event{Kind: EvListDiscard, Term: ml.term})
 		return
 	}
 
@@ -66,7 +58,7 @@ func (m *Manager) flushListToSSD(ml *memList) {
 	if existing := m.ssdListFor(ml.term); existing != nil {
 		if existing.validBytes >= validBytes {
 			existing.state = stateNormal
-			m.stats.ListWritesElided++
+			m.record(Event{Kind: EvListElide, Term: ml.term})
 			return
 		}
 		m.dropSSDList(existing)
@@ -79,7 +71,7 @@ func (m *Manager) flushListToSSD(ml *memList) {
 
 	off, ok := m.placeListExtent(scBytes)
 	if !ok {
-		m.stats.ListsDiscarded++
+		m.record(Event{Kind: EvListDiscard, Term: ml.term})
 		return
 	}
 
@@ -95,12 +87,10 @@ func (m *Manager) flushListToSSD(ml *memList) {
 		// Error accounted by ssdWrite; the list is lost from the cache
 		// (still on the HDD) and the failed extent is retired.
 		m.quarantine(m.icAlloc, off, scBytes)
-		m.stats.ListsDiscarded++
+		m.record(Event{Kind: EvListDiscard, Term: ml.term})
 		return
 	}
-	m.stats.ListBytesToSSD += scBytes
-	m.stats.ListWritesToSSD++
-	m.emit(Event{Kind: EvListFlush, Term: ml.term, Bytes: scBytes})
+	m.record(Event{Kind: EvListFlush, Term: ml.term, Bytes: scBytes})
 
 	sl := &ssdList{term: ml.term, off: off, blockBytes: scBytes, validBytes: validBytes, loadedAt: ml.loadedAt}
 	m.icLRU.Put(uint64(ml.term), scBytes, sl)
@@ -133,9 +123,7 @@ func (m *Manager) placeListExtent(scBytes int64) (int64, bool) {
 			}
 			off := sl.off
 			m.icLRU.RemoveEntry(e)
-			m.stats.L2ListEvictions++
-			m.stats.ListOverwritesInPlace++
-			m.emit(Event{Kind: EvListEvict, Term: sl.term, Level: LevelSSD})
+			m.record(Event{Kind: EvListEvict, Term: sl.term, Level: LevelSSD, Detail: DetailInPlace})
 			return off, true
 		}
 	}
@@ -161,7 +149,7 @@ func (m *Manager) placeListExtent(scBytes int64) (int64, bool) {
 		return !ok
 	})
 	if ok {
-		m.stats.ListPlacementWorstCase++
+		m.record(Event{Kind: EvPlacementWorstCase})
 	}
 	return off, ok
 }
@@ -173,8 +161,7 @@ func (m *Manager) evictSSDList(e *cache.Entry) {
 	m.icLRU.RemoveEntry(e)
 	m.icAlloc.Free(sl.off, sl.blockBytes)
 	m.ssdTrim(m.icBase()+sl.off, sl.blockBytes)
-	m.stats.L2ListEvictions++
-	m.emit(Event{Kind: EvListEvict, Term: sl.term, Level: LevelSSD})
+	m.record(Event{Kind: EvListEvict, Term: sl.term, Level: LevelSSD})
 }
 
 // quarantineSSDList retires an L2 list entry whose device range failed:
@@ -188,8 +175,7 @@ func (m *Manager) quarantineSSDList(sl *ssdList) {
 		m.icLRU.RemoveEntry(e)
 	}
 	m.quarantine(m.icAlloc, sl.off, sl.blockBytes)
-	m.stats.L2ListEvictions++
-	m.emit(Event{Kind: EvListEvict, Term: sl.term, Level: LevelSSD})
+	m.record(Event{Kind: EvListEvict, Term: sl.term, Level: LevelSSD})
 }
 
 // dropSSDList removes a specific term's dynamic entry (used before
@@ -210,7 +196,7 @@ func (m *Manager) dropSSDList(sl *ssdList) {
 func (m *Manager) flushListLRU(ml *memList) {
 	size := int64(len(ml.prefix))
 	if size == 0 || size > m.icLRU.Capacity() {
-		m.stats.ListsDiscarded++
+		m.record(Event{Kind: EvListDiscard, Term: ml.term})
 		return
 	}
 	if old, ok := m.icLRU.Peek(uint64(ml.term)); ok {
@@ -218,8 +204,7 @@ func (m *Manager) flushListLRU(ml *memList) {
 		sl := old.Value.(*ssdList)
 		m.icLRU.RemoveEntry(old)
 		m.icAlloc.Free(sl.off, sl.blockBytes)
-		m.stats.L2ListEvictions++
-		m.emit(Event{Kind: EvListEvict, Term: sl.term, Level: LevelSSD})
+		m.record(Event{Kind: EvListEvict, Term: sl.term, Level: LevelSSD})
 	}
 	var off int64
 	for {
@@ -229,23 +214,20 @@ func (m *Manager) flushListLRU(ml *memList) {
 		}
 		lru := m.icLRU.LRUEntry()
 		if lru == nil {
-			m.stats.ListsDiscarded++
+			m.record(Event{Kind: EvListDiscard, Term: ml.term})
 			return
 		}
 		sl := lru.Value.(*ssdList)
 		m.icLRU.RemoveEntry(lru)
 		m.icAlloc.Free(sl.off, sl.blockBytes)
-		m.stats.L2ListEvictions++
-		m.emit(Event{Kind: EvListEvict, Term: sl.term, Level: LevelSSD})
+		m.record(Event{Kind: EvListEvict, Term: sl.term, Level: LevelSSD})
 	}
 	if err := m.ssdWrite(ml.prefix, m.icBase()+off); err != nil {
 		m.quarantine(m.icAlloc, off, size)
-		m.stats.ListsDiscarded++
+		m.record(Event{Kind: EvListDiscard, Term: ml.term})
 		return
 	}
-	m.stats.ListBytesToSSD += size
-	m.stats.ListWritesToSSD++
-	m.emit(Event{Kind: EvListFlush, Term: ml.term, Bytes: size})
+	m.record(Event{Kind: EvListFlush, Term: ml.term, Bytes: size})
 	m.icLRU.Put(uint64(ml.term), size, &ssdList{
 		term: ml.term, off: off, blockBytes: size, validBytes: size, loadedAt: ml.loadedAt,
 	})
@@ -295,9 +277,7 @@ func (m *Manager) PinList(t workload.TermID) bool {
 		m.quarantine(m.icAlloc, off, scBytes)
 		return false
 	}
-	m.stats.ListBytesToSSD += scBytes
-	m.stats.ListWritesToSSD++
-	m.emit(Event{Kind: EvListFlush, Term: t, Bytes: scBytes})
+	m.record(Event{Kind: EvListFlush, Term: t, Bytes: scBytes})
 	m.icStatic[t] = &ssdList{
 		term: t, off: off, blockBytes: scBytes, validBytes: validBytes, static: true,
 	}

@@ -7,7 +7,8 @@ import (
 	"hybridstore/internal/workload"
 )
 
-// sourceSet is a bit set of storage levels that contributed to a request.
+// sourceSet is a bit set of storage levels that contributed to a request:
+// bit 1<<Level is set for each level that served bytes.
 type sourceSet uint8
 
 const (
@@ -274,19 +275,17 @@ func (m *Manager) BeginQuery(qid uint64) {
 	m.curQuery = qid
 	m.curQueryActive = true
 	m.curResultSrc = 0
-	clear(m.curTermSrc)
+	m.curTerms = m.curTerms[:0]
 }
 
 // EndQuery finalizes tracking: classifies the query into its Table I
-// situation and folds per-term source sets into the list hit statistics.
+// situation, then records each term's demand in first-access order.
 // elapsed is the query's simulated wall time.
 func (m *Manager) EndQuery(elapsed time.Duration) {
 	if !m.curQueryActive {
 		return
 	}
 	m.curQueryActive = false
-	m.stats.Queries++
-	m.stats.QueryTime += elapsed
 
 	var sit Situation
 	switch {
@@ -296,30 +295,51 @@ func (m *Manager) EndQuery(elapsed time.Duration) {
 		sit = S2ResultSSD
 	default:
 		var union sourceSet
-		for _, src := range m.curTermSrc {
-			union |= src
+		for _, ts := range m.curTerms {
+			union |= ts.src
 		}
 		sit = classifyLists(union)
 	}
-	m.stats.Situations.Counts[sit]++
-	m.stats.Situations.Time[sit] += elapsed
-	m.emit(Event{Kind: EvQueryEnd, Sit: sit})
+	m.record(Event{Kind: EvQueryEnd, Sit: sit, Elapsed: elapsed})
 
-	for _, src := range m.curTermSrc {
-		m.stats.ListRequests++
-		if src&srcHDD == 0 {
-			m.stats.ListHits++
+	for _, ts := range m.curTerms {
+		level := LevelMem
+		switch {
+		case ts.src&srcHDD != 0:
+			level = LevelHDD
+		case ts.src&srcSSD != 0:
+			level = LevelSSD
+		}
+		m.record(Event{Kind: EvListRequest, Term: ts.term, Level: level})
+	}
+}
+
+// termSource is one term the current query read and the levels that
+// served it.
+type termSource struct {
+	term workload.TermID
+	src  sourceSet
+}
+
+// queryTerm returns the current query's entry for t, appending it on first
+// access (first reports that). Queries carry few terms, so a linear scan
+// beats a map and keeps first-access order.
+func (m *Manager) queryTerm(t workload.TermID) (ts *termSource, first bool) {
+	for i := range m.curTerms {
+		if m.curTerms[i].term == t {
+			return &m.curTerms[i], false
 		}
 	}
+	m.curTerms = append(m.curTerms, termSource{term: t})
+	return &m.curTerms[len(m.curTerms)-1], true
 }
 
 // noteTermAccess bumps the term's access frequency, once per query for
 // situation purposes but on every request when untracked.
 func (m *Manager) noteTermAccess(t workload.TermID) {
 	if m.curQueryActive {
-		if _, seen := m.curTermSrc[t]; !seen {
+		if _, first := m.queryTerm(t); first {
 			bumpFreq(m.termFreq, t, m.cfg.FreqCap)
-			m.curTermSrc[t] = 0
 		}
 		return
 	}
@@ -345,18 +365,6 @@ func bumpFreq[K comparable](m map[K]int64, k K, limit int) {
 				m[key] = v
 			}
 		}
-	}
-}
-
-func (m *Manager) noteTermSource(t workload.TermID, src sourceSet) {
-	if m.curQueryActive {
-		m.curTermSrc[t] |= src
-	}
-}
-
-func (m *Manager) noteResultSource(src sourceSet) {
-	if m.curQueryActive {
-		m.curResultSrc |= src
 	}
 }
 

@@ -1,5 +1,5 @@
-// Package metrics provides the counters, ratio trackers and latency
-// histograms used to report every experiment in the reproduction.
+// Package metrics provides the counters, latency recorders and histograms
+// used to report every experiment in the reproduction.
 //
 // The types here count simulated quantities (simulated nanoseconds, cache
 // probes, device operations); nothing in this package touches wall-clock
@@ -45,75 +45,6 @@ func (c *Counter) Reset() {
 	c.mu.Lock()
 	c.n = 0
 	c.mu.Unlock()
-}
-
-// Ratio tracks hit/miss style outcomes and reports the hit fraction.
-type Ratio struct {
-	mu     sync.Mutex
-	hits   int64
-	misses int64
-}
-
-// Hit records a positive outcome.
-func (r *Ratio) Hit() {
-	r.mu.Lock()
-	r.hits++
-	r.mu.Unlock()
-}
-
-// Miss records a negative outcome.
-func (r *Ratio) Miss() {
-	r.mu.Lock()
-	r.misses++
-	r.mu.Unlock()
-}
-
-// Record registers hit if ok is true and a miss otherwise.
-func (r *Ratio) Record(ok bool) {
-	if ok {
-		r.Hit()
-	} else {
-		r.Miss()
-	}
-}
-
-// Hits returns the number of positive outcomes recorded.
-func (r *Ratio) Hits() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.hits
-}
-
-// Misses returns the number of negative outcomes recorded.
-func (r *Ratio) Misses() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.misses
-}
-
-// Total returns the number of outcomes recorded.
-func (r *Ratio) Total() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.hits + r.misses
-}
-
-// Value returns hits/(hits+misses), or 0 when nothing has been recorded.
-func (r *Ratio) Value() float64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	total := r.hits + r.misses
-	if total == 0 {
-		return 0
-	}
-	return float64(r.hits) / float64(total)
-}
-
-// Reset zeroes both tallies.
-func (r *Ratio) Reset() {
-	r.mu.Lock()
-	r.hits, r.misses = 0, 0
-	r.mu.Unlock()
 }
 
 // LatencyRecorder accumulates a stream of simulated latencies and reports

@@ -52,32 +52,6 @@ func TestCounterConcurrent(t *testing.T) {
 	}
 }
 
-func TestRatio(t *testing.T) {
-	var r Ratio
-	if r.Value() != 0 {
-		t.Fatal("empty ratio should be 0")
-	}
-	r.Hit()
-	r.Hit()
-	r.Hit()
-	r.Miss()
-	if got := r.Value(); got != 0.75 {
-		t.Fatalf("Value = %v, want 0.75", got)
-	}
-	if r.Hits() != 3 || r.Misses() != 1 || r.Total() != 4 {
-		t.Fatalf("tallies wrong: %d/%d/%d", r.Hits(), r.Misses(), r.Total())
-	}
-	r.Record(true)
-	r.Record(false)
-	if r.Total() != 6 {
-		t.Fatalf("Total = %d, want 6", r.Total())
-	}
-	r.Reset()
-	if r.Total() != 0 {
-		t.Fatal("Reset did not clear ratio")
-	}
-}
-
 func TestLatencyRecorderEmpty(t *testing.T) {
 	l := NewLatencyRecorder()
 	if l.Count() != 0 || l.Mean() != 0 || l.Min() != 0 || l.Max() != 0 {

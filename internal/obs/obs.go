@@ -282,11 +282,6 @@ func (o *Observer) SituationLatency(sit core.Situation) HistogramSnapshot {
 	return histSnapshot(o.latSit[sit])
 }
 
-// UncachedLatency summarizes queries that ran without a cache manager.
-func (o *Observer) UncachedLatency() HistogramSnapshot {
-	return histSnapshot(o.latSit[numSituations])
-}
-
 func histSnapshot(h *metrics.Histogram) HistogramSnapshot {
 	return HistogramSnapshot{
 		Count: h.Total(),

@@ -56,8 +56,7 @@ var componentNames = [NumComponents]string{
 // componentTable declares, for every attribution component, why it exists
 // as a distinct slice of the taxonomy. hybridlint's attrib analyzer checks
 // the table is total — adding a Component constant without an entry (or
-// leaving a stale entry behind) fails the build, the same way
-// statsEventPairs keeps the stats≡trace pairing total. NumComponents is the
+// leaving a stale entry behind) fails the build. NumComponents is the
 // array bound, not a component, and must not appear here.
 var componentTable = map[Component]string{
 	CompOther:            "the residual bucket: RAM transfers and unlabeled fixture advances, kept explicit so Σattrib≡elapsed never needs a fudge term",
