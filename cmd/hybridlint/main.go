@@ -1,5 +1,5 @@
-// Command hybridlint runs the repository's contract-enforcing static
-// analyzers (internal/analysis) over the given package patterns:
+// Command hybridlint runs the repository's five contract analyzers plus the
+// allocbudget gate (internal/analysis) over the given package patterns:
 //
 //	go run ./cmd/hybridlint ./...
 //
@@ -8,8 +8,6 @@
 //	detclock     simulated time/randomness must flow through internal/simclock
 //	mapiter      output paths must not range over maps in randomized order
 //	ioerr        storage-layer errors and allocator results must be handled
-//	attrib       clock advances must carry a declared attribution Component
-//	             (Σattrib≡elapsed)
 //	bufalias     device-loaned buffers may not outlive the read call
 //	             (zero-copy lifetime)
 //	confine      concurrent closures in serve/experiments touch only state
@@ -19,7 +17,10 @@
 //
 // stats≡trace needs no analyzer: core.Manager changes its Stats only by
 // folding the events it records (Manager.record, Stats.apply), so the
-// counters and the event stream cannot drift apart.
+// counters and the event stream cannot drift apart. Neither does
+// Σattrib≡elapsed: simclock.Clock has no unlabelled advance, so every slice
+// of simulated time is labelled at the clock, and tracetool renders
+// components by ranging over the obs.Attrib array.
 //
 // Flags:
 //
@@ -62,7 +63,7 @@ func main() {
 	timing := flag.Bool("timing", false, "print per-analyzer wall time to stderr")
 	budgetMode := flag.String("allocbudget", "auto", `escape-analysis budget gate: "auto", "off", or a budget file path`)
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: hybridlint [-json] [-timing] [-allocbudget=auto|off|FILE] [packages]\n\nRuns the hybridstore contract analyzers (detclock, mapiter, ioerr, attrib,\nbufalias, confine, allocbudget) over the given go-list package\npatterns (default ./...).\n")
+		fmt.Fprintf(os.Stderr, "usage: hybridlint [-json] [-timing] [-allocbudget=auto|off|FILE] [packages]\n\nRuns the five hybridstore contract analyzers (detclock, mapiter, ioerr,\nbufalias, confine) plus allocbudget over the given go-list package\npatterns (default ./...).\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()

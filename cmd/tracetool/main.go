@@ -12,7 +12,9 @@
 // sums must equal its simulated elapsed time — and exits non-zero when a
 // trace violates it or when no trace carries attribution at all, so CI can
 // gate on it. All output is deterministic: situations sort
-// lexicographically and components render in canonical enum order.
+// lexicographically and components render in simclock.Component
+// declaration order, by ranging over the obs.Attrib array, so every
+// declared component has its column with no list to keep in step.
 package main
 
 import (
@@ -55,23 +57,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "tracetool: %v\n", err)
 		os.Exit(1)
 	}
-}
-
-// summaryOrder is the canonical component rendering order shared by
-// summary, topk and diff. hybridlint's attrib analyzer (and the mirror test
-// in main_test.go) checks it lists every declared simclock.Component
-// exactly once, so a newly added component cannot silently vanish from
-// reports.
-var summaryOrder = []simclock.Component{
-	simclock.CompOther,
-	simclock.CompHDDSeek,
-	simclock.CompHDDTransfer,
-	simclock.CompSSDRead,
-	simclock.CompSSDProgram,
-	simclock.CompSSDEraseStall,
-	simclock.CompCPUIntersect,
-	simclock.CompCacheBookkeeping,
-	simclock.CompQueueWait,
 }
 
 func usage() {
@@ -185,8 +170,8 @@ func runSummary(args []string) error {
 	fmt.Fprintf(w, "traces=%d attributed=%d total_elapsed_ns=%d\n", len(traces), attributed, grand)
 	for _, row := range rows {
 		fmt.Fprintf(w, "%-18s n=%-7d total_ns=%-14d", row.Situation, row.Queries, row.ElapsedNS)
-		for _, c := range summaryOrder {
-			v := row.Attrib[c]
+		for i, v := range row.Attrib {
+			c := simclock.Component(i)
 			// queue_wait prints even at zero: the serving layer's
 			// saturation signal should be visible (as its absence) at a
 			// glance, not hidden by the zero-elision the other components
@@ -232,12 +217,11 @@ func runTopK(args []string) error {
 	for _, tr := range traces {
 		fmt.Fprintf(w, "seq=%-7d qid=%-10d %-18s elapsed_ns=%-12d", tr.Seq, tr.QID, situation(tr), tr.ElapsedNS)
 		if tr.Attrib != nil {
-			for _, c := range summaryOrder {
-				v := tr.Attrib[c]
+			for i, v := range tr.Attrib {
 				if v == 0 {
 					continue
 				}
-				fmt.Fprintf(w, " %s=%d", c, v)
+				fmt.Fprintf(w, " %s=%d", simclock.Component(i), v)
 			}
 		}
 		fmt.Fprintln(w)
@@ -272,12 +256,12 @@ func runDiff(args []string) error {
 	fmt.Fprintf(w, "a=%s traces=%d elapsed_ns=%d\n", paths[0], count[0], elapsed[0])
 	fmt.Fprintf(w, "b=%s traces=%d elapsed_ns=%d\n", paths[1], count[1], elapsed[1])
 	fmt.Fprintf(w, "%-18s %14s %14s %14s\n", "component", "a_ns", "b_ns", "delta_ns")
-	for _, c := range summaryOrder {
-		a, b := totals[0][c], totals[1][c]
+	for i := range totals[0] {
+		a, b := totals[0][i], totals[1][i]
 		if a == 0 && b == 0 {
 			continue
 		}
-		fmt.Fprintf(w, "%-18s %14d %14d %+14d\n", c, a, b, b-a)
+		fmt.Fprintf(w, "%-18s %14d %14d %+14d\n", simclock.Component(i), a, b, b-a)
 	}
 	fmt.Fprintf(w, "%-18s %14d %14d %+14d\n", "total_elapsed", elapsed[0], elapsed[1], elapsed[1]-elapsed[0])
 	return w.Flush()

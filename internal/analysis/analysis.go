@@ -1,5 +1,6 @@
-// Package analysis implements hybridlint, a suite of static analyzers that
-// machine-check the repository's load-bearing contracts:
+// Package analysis implements hybridlint: five contract analyzers plus the
+// allocbudget gate, which machine-check the repository's load-bearing
+// contracts:
 //
 //   - determinism: simulated time and randomness flow exclusively through
 //     internal/simclock (analyzer detclock), and output paths never iterate
@@ -7,23 +8,25 @@
 //     byte-identical at any -jobs count;
 //   - error accounting: no storage-device or allocator result is silently
 //     discarded, so injected faults can never vanish (analyzer ioerr);
-//   - Σattrib≡elapsed: every clock advance carries a Component constant
-//     declared in simclock's componentTable, and tracetool renders every
-//     declared component (analyzer attrib);
 //   - zero-copy lifetime: a buffer filled by a device read is on loan for
 //     decoding only and may not outlive the read (analyzer bufalias);
 //   - shard confinement: concurrently launched closures and event-queue
 //     callbacks touch only state bound to them at creation (analyzer
 //     confine).
 //
-// The attrib, bufalias and confine analyzers share a small intra-procedural
+// Σattrib≡elapsed needs no analyzer: simclock.Clock has no unlabelled
+// advance, so every slice of simulated time names its Component at the
+// clock; an out-of-range label folds into CompOther; and tracetool renders
+// components by ranging over the obs.Attrib array, so none can be left out.
+//
+// The bufalias and confine analyzers share a small intra-procedural
 // dataflow layer (dataflow.go): def/use value tracking over go/ast+go/types
 // that follows local aliases of a value through assignments and reslicings
 // inside one function body. Analysis never crosses function boundaries —
 // which is a feature, not a shortcut: a callee that wants to keep bytes
 // must copy them, and the copy is visible in the caller.
 //
-// A seventh check, allocbudget (allocbudget.go), is not AST-based at all:
+// The sixth check, allocbudget (allocbudget.go), is not AST-based at all:
 // it replays the compiler's escape analysis (`go build -gcflags=-m`)
 // against the committed per-function heap-allocation budget in
 // allocbudget.txt, turning the hot path's allocation discipline into a
@@ -280,13 +283,13 @@ func Run(pkg *Package, analyzers []*Analyzer) []Diagnostic {
 	return out
 }
 
-// All returns the full AST-based hybridlint suite in reporting order. The
-// seventh check, allocbudget, is not package-scoped (it runs the compiler's
+// All returns the five AST-based hybridlint analyzers in reporting order.
+// The sixth check, allocbudget, is not package-scoped (it runs the compiler's
 // escape analysis over the whole module) and is invoked separately via
 // RunAllocBudget; its name is still known to the directive audit through
 // AllocBudgetName.
 func All() []*Analyzer {
-	return []*Analyzer{Detclock, Mapiter, Ioerr, Attrib, Bufalias, Confine}
+	return []*Analyzer{Detclock, Mapiter, Ioerr, Bufalias, Confine}
 }
 
 // pathSegment reports whether the import path contains seg as a whole

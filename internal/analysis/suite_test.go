@@ -22,21 +22,6 @@ func TestIoerr(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(t), "ioerr/a", analysis.Ioerr)
 }
 
-// TestAttrib covers the Σattrib≡elapsed analyzer: call sites must pass
-// declared Component constants (attrib/a), the bare-call allowlist
-// suppresses by package path (attrib/allowedpkg), and the componentTable /
-// summaryOrder declarations must be total (attrib/badtable, attrib/notable,
-// attrib/order; attrib/clockpkg is the clean shape).
-func TestAttrib(t *testing.T) {
-	td := analysistest.TestData(t)
-	analysistest.Run(t, td, "attrib/clockpkg", analysis.Attrib)
-	analysistest.Run(t, td, "attrib/a", analysis.Attrib)
-	analysistest.Run(t, td, "attrib/allowedpkg", analysis.Attrib)
-	analysistest.Run(t, td, "attrib/badtable", analysis.Attrib)
-	analysistest.Run(t, td, "attrib/notable", analysis.Attrib)
-	analysistest.Run(t, td, "attrib/order", analysis.Attrib)
-}
-
 // TestBufalias covers the zero-copy lifetime analyzer: every escape of a
 // device-loaned buffer in bufalias/a is a finding, the in-place decode and
 // copy flows are not, and the annotated owner type (bufalias/index) may

@@ -612,7 +612,7 @@ func TestPolicyString(t *testing.T) {
 }
 
 func TestSituationString(t *testing.T) {
-	for s := S1ResultMem; s < numSituations; s++ {
+	for s := S1ResultMem; s < NumSituations; s++ {
 		if s.String() == "S?" {
 			t.Fatalf("situation %d unnamed", s)
 		}

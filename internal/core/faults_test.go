@@ -237,7 +237,7 @@ func TestBreakerOpensRoutesAroundAndCools(t *testing.T) {
 
 	// Device recovers, cooldown elapses: the same entry hits SSD again.
 	fd.failWrites = false
-	f.clock.Advance(f.m.cfg.BreakerCooldown + time.Millisecond)
+	f.clock.AdvanceAttr(f.m.cfg.BreakerCooldown+time.Millisecond, simclock.CompOther)
 	if f.m.DegradedMode() {
 		t.Fatal("breaker still open after cooldown")
 	}
@@ -307,7 +307,7 @@ func TestTrimErrorCounted(t *testing.T) {
 	f, fd := newFlakyFixture(t, cfg)
 	putEntries(t, f, 1, 11) // RB with qids 1..6 on SSD
 	fd.failTrims = true
-	f.clock.Advance(2 * time.Millisecond)
+	f.clock.AdvanceAttr(2*time.Millisecond, simclock.CompOther)
 	if _, src := f.m.GetResult(1); src != ResultMiss {
 		t.Fatal("expired probe not a miss")
 	}

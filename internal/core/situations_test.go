@@ -34,7 +34,7 @@ func (f *situationFixture) classify(t *testing.T, qid uint64, reads map[workload
 	}
 	f.m.EndQuery(time.Millisecond)
 	after := f.m.Stats().Situations
-	for s := S1ResultMem; s < numSituations; s++ {
+	for s := S1ResultMem; s < NumSituations; s++ {
 		if after.Counts[s] == before.Counts[s]+1 {
 			return s
 		}
@@ -179,7 +179,7 @@ func TestSituationProbabilitiesSumToOne(t *testing.T) {
 	}
 	tally := f.m.Stats().Situations
 	var sum float64
-	for s := S1ResultMem; s < numSituations; s++ {
+	for s := S1ResultMem; s < NumSituations; s++ {
 		sum += tally.Probability(s)
 	}
 	if sum < 0.999 || sum > 1.001 {

@@ -34,7 +34,10 @@ const (
 	S7ListsMemSSDHDD
 	S8ListsSSDHDD
 	S9ListsHDD
-	numSituations
+
+	// NumSituations bounds arrays indexed by Situation. It is not a
+	// situation.
+	NumSituations
 )
 
 // String names the situation as in Table I.
@@ -72,8 +75,8 @@ func classifyLists(src sourceSet) Situation {
 // total simulated time, from which probabilities P1..P9 and average time
 // costs T1..T9 derive.
 type SituationTally struct {
-	Counts [numSituations]int64
-	Time   [numSituations]time.Duration
+	Counts [NumSituations]int64
+	Time   [NumSituations]time.Duration
 }
 
 // Total returns the number of classified queries.
@@ -114,8 +117,8 @@ type SituationRow struct {
 // Table returns all nine (P_i, T_i) rows of Table I in situation order,
 // including zero-count rows, so every reporter renders from one source.
 func (s *SituationTally) Table() []SituationRow {
-	rows := make([]SituationRow, numSituations)
-	for i := Situation(0); i < numSituations; i++ {
+	rows := make([]SituationRow, NumSituations)
+	for i := Situation(0); i < NumSituations; i++ {
 		rows[i] = SituationRow{
 			Sit:      i,
 			Count:    s.Counts[i],

@@ -28,10 +28,6 @@ const (
 	GaugeQuarantinedBytes = "cache_quarantined_bytes"
 )
 
-// numSituations mirrors core's Table I situation count; slot numSituations
-// holds uncached executions (no manager, hence no classification).
-const numSituations = 9
-
 // LatencyBounds returns the log-spaced microsecond bucket bounds used for
 // every query-latency histogram: 16 µs up to ~33 s, doubling.
 func LatencyBounds() []int64 { return metrics.ExpBounds(16, 2, 22) }
@@ -58,7 +54,7 @@ type Observer struct {
 	Registry *Registry
 
 	latAll  *metrics.Histogram
-	latSit  [numSituations + 1]*metrics.Histogram
+	latSit  [core.NumSituations + 1]*metrics.Histogram
 	profile *Profile
 
 	mu          sync.Mutex
@@ -113,10 +109,12 @@ func (o *Observer) Fork() *Observer {
 func (o *Observer) initHistograms() {
 	bounds := LatencyBounds()
 	o.latAll = o.Registry.Histogram("query_latency_us", bounds)
-	for i := 0; i < numSituations; i++ {
-		o.latSit[i] = o.Registry.Histogram(fmt.Sprintf("query_latency_s%d_us", i+1), bounds)
+	for i := core.Situation(0); i < core.NumSituations; i++ {
+		o.latSit[i] = o.Registry.Histogram(fmt.Sprintf("query_latency_s%d_us", int(i)+1), bounds)
 	}
-	o.latSit[numSituations] = o.Registry.Histogram("query_latency_uncached_us", bounds)
+	// The slot past the last situation holds uncached executions (no
+	// manager, hence no classification).
+	o.latSit[core.NumSituations] = o.Registry.Histogram("query_latency_uncached_us", bounds)
 }
 
 // BeginQuery opens tracing for one query at simulated time now.
@@ -222,9 +220,9 @@ func (o *Observer) EndQuery(now, elapsed time.Duration) QueryTrace {
 	}
 
 	o.mu.Lock()
-	slot := numSituations
-	if o.curSitSeen && int(o.curSit) < numSituations {
-		slot = int(o.curSit)
+	slot := core.NumSituations
+	if o.curSitSeen && o.curSit < core.NumSituations {
+		slot = o.curSit
 	}
 	o.queries++
 	o.intQueries++
@@ -276,8 +274,8 @@ func (o *Observer) OverallLatency() HistogramSnapshot {
 // SituationLatency summarizes the latency histogram of one Table I
 // situation (µs).
 func (o *Observer) SituationLatency(sit core.Situation) HistogramSnapshot {
-	if int(sit) < 0 || int(sit) >= numSituations {
-		return histSnapshot(o.latSit[numSituations])
+	if sit < 0 || sit >= core.NumSituations {
+		return histSnapshot(o.latSit[core.NumSituations])
 	}
 	return histSnapshot(o.latSit[sit])
 }

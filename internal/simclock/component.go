@@ -1,31 +1,42 @@
 package simclock
 
 // Component labels where a slice of simulated time is spent. Every clock
-// advance carries one; unlabeled advances fall into CompOther. The taxonomy
-// partitions a query's elapsed time for latency attribution: because the
-// labels are applied at the clock itself, the per-component sums are equal
-// to elapsed time by construction, not by reconciliation.
+// advance carries one: Clock has no unlabelled advance, so a caller must
+// name the component it charges. The taxonomy partitions a query's elapsed
+// time for latency attribution: because the labels are applied at the
+// clock itself, the per-component sums are equal to elapsed time by
+// construction, not by reconciliation. A value outside the declared range
+// renders and accumulates as CompOther, so even a computed label cannot
+// break the sum.
 type Component uint8
 
-// The attribution components, in canonical rendering order.
+// The attribution components, in canonical rendering order: reports range
+// over them in declaration order, so a new constant appears in every
+// report without further edits.
 const (
-	// CompOther is time not claimed by any specific component (RAM device
-	// transfers, unlabeled fixture advances).
+	// CompOther is the residual bucket: time not claimed by any specific
+	// component (RAM device transfers, fixture advances). It is kept
+	// explicit so Σattrib≡elapsed never needs a fudge term.
 	CompOther Component = iota
 	// CompHDDSeek is mechanical positioning: head travel plus rotational
-	// latency on the backing drive.
+	// latency on the backing drive. It dominates HDD latency, and the
+	// paper's core argument prices it separately from transfer.
 	CompHDDSeek
-	// CompHDDTransfer is HDD command overhead plus media transfer.
+	// CompHDDTransfer is HDD command overhead plus media transfer; it
+	// scales with request size where seek does not.
 	CompHDDTransfer
-	// CompSSDRead is flash read service time (cache or index SSD).
+	// CompSSDRead is flash read service time on either SSD role (cache or
+	// index).
 	CompSSDRead
-	// CompSSDProgram is flash program/trim service time.
+	// CompSSDProgram is flash program/trim service time: the cost of cache
+	// admission, the write-amplification side of caching on flash.
 	CompSSDProgram
 	// CompSSDEraseStall is foreground time spent waiting for the cache SSD
-	// to drain background program/erase work before a read can start.
+	// to drain background program/erase work before a read can start: the
+	// GC-interference term.
 	CompSSDEraseStall
 	// CompCPUIntersect is engine CPU cost: postings decode and list
-	// intersection.
+	// intersection, the CPU term that block compression trades against I/O.
 	CompCPUIntersect
 	// CompCacheBookkeeping is cache-manager L1 access cost (memory probes
 	// and transfers).
@@ -33,9 +44,11 @@ const (
 	// CompQueueWait is time a query spent queued behind other work before
 	// (or instead of) executing: shard-queue delay in the serving layer,
 	// and the whole latency of a coalesced (singleflight-follower) serve.
+	// It is the only component born outside the device stack.
 	CompQueueWait
 
-	// NumComponents bounds arrays indexed by Component.
+	// NumComponents bounds arrays indexed by Component. It is not a
+	// component.
 	NumComponents
 )
 
@@ -51,23 +64,6 @@ var componentNames = [NumComponents]string{
 	"cpu_intersect",
 	"cache_bookkeeping",
 	"queue_wait",
-}
-
-// componentTable declares, for every attribution component, why it exists
-// as a distinct slice of the taxonomy. hybridlint's attrib analyzer checks
-// the table is total — adding a Component constant without an entry (or
-// leaving a stale entry behind) fails the build. NumComponents is the
-// array bound, not a component, and must not appear here.
-var componentTable = map[Component]string{
-	CompOther:            "the residual bucket: RAM transfers and unlabeled fixture advances, kept explicit so Σattrib≡elapsed never needs a fudge term",
-	CompHDDSeek:          "mechanical positioning dominates HDD latency; the paper's core argument prices it separately from transfer",
-	CompHDDTransfer:      "command overhead plus media transfer; scales with request size where seek does not",
-	CompSSDRead:          "flash read service time on either SSD role (cache or index)",
-	CompSSDProgram:       "program/trim cost of cache admission; the write-amplification side of caching on flash",
-	CompSSDEraseStall:    "foreground reads stalled behind background program/erase; the GC-interference term",
-	CompCPUIntersect:     "postings decode and list intersection; the CPU term that block compression trades against I/O",
-	CompCacheBookkeeping: "L1 memory probes and transfers in the cache manager",
-	CompQueueWait:        "shard-queue delay and coalesced-serve latency in the serving layer; the only component born outside the device stack",
 }
 
 // String returns the component's stable wire name.

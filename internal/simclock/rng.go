@@ -10,8 +10,6 @@ package simclock
 // generator from scratch so the stream is stable across Go releases, unlike
 // math/rand's unspecified global behaviour.
 
-import "math"
-
 // RNG is a small, fast, deterministic pseudo-random generator
 // (xoshiro256**). It is not safe for concurrent use; Split off one RNG per
 // goroutine instead.
@@ -72,9 +70,6 @@ func (r *RNG) Intn(n int) int {
 	return int(r.Uint64() % uint64(n))
 }
 
-// Int63 returns a uniform non-negative int64.
-func (r *RNG) Int63() int64 { return int64(r.Uint64() >> 1) }
-
 // Float64 returns a uniform value in [0, 1).
 func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
@@ -91,26 +86,4 @@ func (r *RNG) Perm(n int) []int {
 		p[i], p[j] = p[j], p[i]
 	}
 	return p
-}
-
-// Shuffle pseudo-randomly reorders n elements using the provided swap
-// function, mirroring math/rand.Shuffle.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
-// NormFloat64 returns a normally distributed value with mean 0 and standard
-// deviation 1, using the polar Box–Muller transform.
-func (r *RNG) NormFloat64() float64 {
-	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
-		if s > 0 && s < 1 {
-			return u * math.Sqrt(-2*math.Log(s)/s)
-		}
-	}
 }

@@ -142,48 +142,3 @@ func TestPermProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestShuffleKeepsMultiset(t *testing.T) {
-	r := NewRNG(21)
-	xs := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	sum := 0
-	for _, x := range xs {
-		sum += x
-	}
-	r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	got := 0
-	for _, x := range xs {
-		got += x
-	}
-	if got != sum {
-		t.Fatalf("shuffle changed multiset: sum %d != %d", got, sum)
-	}
-}
-
-func TestNormFloat64Moments(t *testing.T) {
-	r := NewRNG(31)
-	const n = 200000
-	var sum, sumSq float64
-	for i := 0; i < n; i++ {
-		v := r.NormFloat64()
-		sum += v
-		sumSq += v * v
-	}
-	mean := sum / n
-	variance := sumSq/n - mean*mean
-	if math.Abs(mean) > 0.02 {
-		t.Fatalf("normal mean = %v, want ~0", mean)
-	}
-	if math.Abs(variance-1) > 0.05 {
-		t.Fatalf("normal variance = %v, want ~1", variance)
-	}
-}
-
-func TestInt63NonNegative(t *testing.T) {
-	r := NewRNG(77)
-	for i := 0; i < 10000; i++ {
-		if r.Int63() < 0 {
-			t.Fatal("Int63 returned negative value")
-		}
-	}
-}

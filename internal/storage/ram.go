@@ -10,7 +10,9 @@ import (
 // MemDevice models main memory as a storage device: uniform access latency
 // plus bandwidth-proportional transfer time. It anchors the fast end of the
 // hierarchy so that every level of the two-level cache charges simulated
-// time through the same interface.
+// time through the same interface. Its transfers are charged to
+// simclock.CompOther: RAM time is unclaimed by design, and no report needs
+// it broken out as a component of its own.
 type MemDevice struct {
 	mu    sync.Mutex
 	name  string
@@ -80,7 +82,7 @@ func (d *MemDevice) ReadAt(p []byte, off int64) (time.Duration, error) {
 	}
 	d.buf.ReadAt(p, off)
 	lat := d.cost(len(p))
-	d.clock.Advance(lat)
+	d.clock.AdvanceAttr(lat, simclock.CompOther)
 	d.stats.Record(OpRead, len(p), lat)
 	d.emit(Op{Device: d.name, Kind: OpRead, Offset: off, Len: len(p), Latency: lat})
 	return lat, nil
@@ -95,7 +97,7 @@ func (d *MemDevice) WriteAt(p []byte, off int64) (time.Duration, error) {
 	}
 	d.buf.WriteAt(p, off)
 	lat := d.cost(len(p))
-	d.clock.Advance(lat)
+	d.clock.AdvanceAttr(lat, simclock.CompOther)
 	d.stats.Record(OpWrite, len(p), lat)
 	d.emit(Op{Device: d.name, Kind: OpWrite, Offset: off, Len: len(p), Latency: lat})
 	return lat, nil

@@ -21,7 +21,8 @@
 # more than one CPU -- on a single CPU the ratio is pure noise.
 #
 # Environment:
-#   PR       PR number stamped into the record (default: 9)
+#   PR       PR number stamped into the record (default: one past the
+#            newest committed BENCH_pr*.json)
 #   SCALE    suite scale to time (default: small; full takes much longer)
 #   JOBS     parallel job count (default: nproc)
 #   OUT      output JSON path (default: BENCH_pr${PR}.json in the repo root)
@@ -32,7 +33,13 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-PR="${PR:-9}"
+# The newest committed trajectory point sets the default PR number.
+LATEST=0
+for f in BENCH_pr*.json; do
+    n="${f#BENCH_pr}"; n="${n%.json}"
+    if [ "$n" -gt "$LATEST" ] 2>/dev/null; then LATEST="$n"; fi
+done
+PR="${PR:-$((LATEST + 1))}"
 SCALE="${SCALE:-small}"
 JOBS="${JOBS:-$(nproc)}"
 OUT="${OUT:-BENCH_pr${PR}.json}"

@@ -7,9 +7,9 @@
 #   1. gofmt       (formatting, includes testdata fixtures)
 #   2. go vet      (toolchain vet)
 #   3. staticcheck (version pinned in tools/tools.go)
-#   4. hybridlint  (the repo's contract analyzers: detclock, mapiter,
-#                   ioerr, attrib, bufalias, confine — see
-#                   internal/analysis — plus the allocbudget gate, which
+#   4. hybridlint  (the repo's five contract analyzers: detclock, mapiter,
+#                   ioerr, bufalias, confine — see internal/analysis —
+#                   plus the allocbudget gate, which
 #                   replays compiler escape analysis against the budgets
 #                   committed in allocbudget.txt; any over-budget hot-path
 #                   function makes hybridlint, and this script, exit
